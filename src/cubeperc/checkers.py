@@ -11,9 +11,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.special import betainc
 
-from .cube import Hypercube, external_neighborhood, sphere2, xor_shift
+from .cube import Hypercube, closed_neighborhood_mask, external_neighborhood, sphere2, xor_shift
 from .errors import InputDomainError, RefusalError
 
 # === reports ===
@@ -58,14 +60,15 @@ def check_expansion(oracle, labeling, epsilon: float, size_threshold=None) -> li
     d = oracle.degree
     threshold = expansion_size_threshold(n) if size_threshold is None else float(size_threshold)
     reports = []
-    for cid in range(labeling.n_components):
+    for cid in np.flatnonzero(labeling.sizes > threshold).tolist():
         k = labeling.size_of(cid)
-        if k <= threshold:
-            continue
         members = labeling.members(cid)
-        boundary = external_neighborhood(oracle, members)
+        if isinstance(oracle, Hypercube):
+            boundary = int(closed_neighborhood_mask(oracle.d, members).sum()) - k
+        else:
+            boundary = len(external_neighborhood(oracle, members))
         need = 0.9 * k * d
-        if len(boundary) < need:
+        if boundary < need:
             reports.append(
                 ViolationReport(
                     checker="expansion",
@@ -75,7 +78,7 @@ def check_expansion(oracle, labeling, epsilon: float, size_threshold=None) -> li
                         "min_vertex": int(members.min()),
                         "epsilon": float(epsilon),
                     },
-                    measured=float(len(boundary)),
+                    measured=float(boundary),
                     threshold=need,
                 )
             )
@@ -102,16 +105,33 @@ def sphere2_threshold_unreachable(d: int) -> bool:
     return math.comb(d, 2) < 2 * d
 
 
+def sphere2_counts(cube: Hypercube, sample) -> np.ndarray:
+    """|N^2(v) cap R| for every vertex v, as a uint16 array of length n.
+
+    Uses the common-neighbour law: two vertices at distance 2 share
+    exactly two neighbours and vertices further apart share none, so
+    with r the retained indicator and A the adjacency,
+    |N^2(v) cap R| = ((A^2 r)(v) - d r(v)) / 2. That is 2d coordinate
+    shifts instead of one per pair of coordinates.
+    """
+    d = cube.d
+    retained = sample.as_bool().astype(np.uint8)
+    degree = np.zeros(cube.n, dtype=np.uint8)  # (A r)(v) <= d
+    for i in range(d):
+        degree += xor_shift(retained, i)
+    counts = np.zeros(cube.n, dtype=np.uint16)  # (A^2 r)(v) <= d^2
+    for i in range(d):
+        counts += xor_shift(degree, i)
+    counts -= d * retained
+    counts //= 2
+    return counts
+
+
 def check_sphere2_density(cube: Hypercube, sample) -> list:
     """Report every vertex whose distance-2 sphere holds >= 2d retained
     vertices. Scans all n vertices; deterministic."""
     d = cube.d
-    retained = sample.as_bool().astype(np.uint8)
-    counts = np.zeros(cube.n, dtype=np.uint16)
-    for i in range(d):
-        shifted_i = xor_shift(retained, i)
-        for j in range(i + 1, d):
-            counts += xor_shift(shifted_i, j)
+    counts = sphere2_counts(cube, sample)
     bound = 2 * d
     reports = []
     for v in np.flatnonzero(counts >= bound):
@@ -387,17 +407,45 @@ def tree_count_bound(n: int, d: int, k: int) -> float:
 # === squid candidates ===
 
 
-def _is_connected(oracle, vertices: list) -> bool:
-    member = set(vertices)
-    seen = {vertices[0]}
-    stack = [vertices[0]]
-    while stack:
-        v = stack.pop()
-        for u in oracle.neighbors(v):
-            if u in member and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(member)
+def _region_mask(cube, region) -> np.ndarray:
+    """A bool mask over V(Q^d), passed through, or built from labels."""
+    if isinstance(region, np.ndarray) and region.dtype == bool:
+        if region.shape != (cube.n,):
+            raise InputDomainError(f"region mask must have length {cube.n}")
+        return region
+    labels = np.fromiter(region, dtype=np.int64)
+    mask = np.zeros(cube.n, dtype=bool)
+    mask[labels[(labels >= 0) & (labels < cube.n)]] = True
+    return mask
+
+
+def _component_counts(d: int, flat: np.ndarray, owner: np.ndarray, m: int) -> np.ndarray:
+    """Number of connected pieces of each candidate, from one labeling.
+
+    Entry j of `flat` is a vertex of candidate owner[j]; the key
+    owner * 2^d + vertex keeps candidates apart, and flipping a bit
+    below d moves along an edge of Q^d without leaving the candidate.
+    Labels outside Q^d get no edges, so each is a piece of its own.
+    """
+    inside = np.flatnonzero((flat >= 0) & (flat < 1 << d))
+    keys = owner[inside] * (1 << d) + flat[inside]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    entry = inside[order]
+    rows = []
+    cols = []
+    for i in range(d):
+        partner = keys ^ (1 << i)
+        pos = np.minimum(np.searchsorted(keys, partner), len(keys) - 1)
+        hit = (partner > keys) & (keys[pos] == partner)
+        rows.append(entry[hit])
+        cols.append(entry[pos[hit]])
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    graph = coo_matrix((np.ones(len(rows), np.int8), (rows, cols)), shape=(len(flat),) * 2)
+    _, piece = connected_components(graph, directed=False)
+    first = np.unique(piece, return_index=True)[1]
+    return np.bincount(owner[first], minlength=m)
 
 
 def check_squid(cube, giant_region, candidates, epsilon: float, C: float) -> list:
@@ -405,47 +453,77 @@ def check_squid(cube, giant_region, candidates, epsilon: float, C: float) -> lis
     the giant's closed neighborhood.
 
     `giant_region` is the caller-precomputed union of the largest
-    component and its external neighborhood. Each candidate must be
-    connected with at most C*d vertices. A vertex is deprived when it
-    has fewer than eps^2*d/40 neighbors inside giant_region; a candidate
-    is reported when its deprived count reaches eps*d/10. Candidates are
-    supplied, never enumerated: the all-connected-sets quantifier is a
-    union-bound device, not an algorithm.
+    component and its external neighborhood, as a bool mask over V(Q^d)
+    or as a collection of labels. `candidates` is a sequence of vertex
+    sequences. Each candidate must be nonempty, without repeats,
+    connected and of at most C*d vertices; the first candidate that is
+    not raises InputDomainError naming the first of those conditions it
+    breaks. A vertex is deprived when it has fewer than eps^2*d/40
+    neighbors inside giant_region; a candidate is reported when its
+    deprived count reaches eps*d/10. Candidates are supplied, never
+    enumerated: the all-connected-sets quantifier is a union-bound
+    device, not an algorithm.
+
+    All candidates are checked together: their vertices are
+    concatenated, neighbors inside the region are counted by d mask
+    lookups, and connectivity comes from one labeling of the edges
+    inside candidates.
     """
     d = cube.d
-    region = {int(v) for v in giant_region}
+    region = _region_mask(cube, giant_region)
     deprived_bound = epsilon**2 * d / 40.0
     report_bound = epsilon * d / 10.0
     size_cap = C * d
-    reports = []
-    for i, cand in enumerate(candidates):
-        verts = [int(v) for v in cand]
-        if not verts:
+    sizes = np.array([len(c) for c in candidates], dtype=np.int64)
+    m = len(sizes)
+    if m == 0:
+        return []
+    flat = np.concatenate([np.asarray(c, dtype=np.int64) for c in candidates])
+    owner = np.repeat(np.arange(m), sizes)
+    starts = np.cumsum(sizes) - sizes
+
+    empty = sizes == 0
+    by_owner = np.lexsort((flat, owner))
+    o, v = owner[by_owner], flat[by_owner]
+    repeated = np.zeros(m, dtype=bool)
+    repeated[o[1:][(o[1:] == o[:-1]) & (v[1:] == v[:-1])]] = True
+    oversized = sizes > size_cap
+    # connectivity is searched from a candidate's first vertex, so a label
+    # outside Q^d is named when it leads and disconnects the candidate
+    # otherwise
+    lead_outside = np.zeros(m, dtype=bool)
+    lead = flat[starts[~empty]]
+    lead_outside[~empty] = (lead < 0) | (lead >= cube.n)
+    disconnected = _component_counts(d, flat, owner, m) != 1
+    bad = np.flatnonzero(empty | repeated | oversized | lead_outside | disconnected)
+    if len(bad):
+        i = int(bad[0])
+        if empty[i]:
             raise InputDomainError(f"candidate {i} is empty")
-        if len(verts) != len(set(verts)):
+        if repeated[i]:
             raise InputDomainError(f"candidate {i} has repeated vertices")
-        if len(verts) > size_cap:
+        if oversized[i]:
             raise InputDomainError(
-                f"candidate {i} has {len(verts)} vertices, above C*d = {size_cap}"
+                f"candidate {i} has {int(sizes[i])} vertices, above C*d = {size_cap}"
             )
-        if not _is_connected(cube, verts):
-            raise InputDomainError(f"candidate {i} is not connected")
-        deprived = 0
-        for v in verts:
-            inside = sum(1 for u in cube.neighbors(v) if u in region)
-            if inside < deprived_bound:
-                deprived += 1
-        if deprived >= report_bound:
-            reports.append(
-                ViolationReport(
-                    checker="squid",
-                    witness={
-                        "candidate_index": i,
-                        "size": len(verts),
-                        "min_vertex": min(verts),
-                    },
-                    measured=float(deprived),
-                    threshold=report_bound,
-                )
-            )
-    return reports
+        cube.check_vertex(int(flat[starts[i]]))
+        raise InputDomainError(f"candidate {i} is not connected")
+
+    inside = np.zeros(len(flat), dtype=np.uint8)
+    for i in range(d):
+        inside += region[flat ^ (1 << i)]
+    deprived = np.bincount(owner[inside < deprived_bound], minlength=m)
+    smallest = np.minimum.reduceat(flat, starts)
+    return [
+        ViolationReport(
+            checker="squid",
+            witness={
+                "candidate_index": i,
+                "size": int(sizes[i]),
+                "min_vertex": int(smallest[i]),
+            },
+            measured=float(deprived[i]),
+            threshold=report_bound,
+        )
+        for i in np.flatnonzero(deprived >= report_bound).tolist()
+    ]

@@ -104,17 +104,38 @@ def common_neighbors(cube: Hypercube, u: int, v: int) -> int:
     return sum(1 for w in cube.neighbors(u) if hamming_distance(w, v) == 1)
 
 
+def closed_neighborhood_mask(d: int, members: np.ndarray) -> np.ndarray:
+    """Length-2^d bool mask of `members` together with every neighbor.
+
+    O(|members| * d) scatters into one O(n)-byte array; the external
+    neighborhood is this mask with `members` cleared, and its size is
+    mask.sum() - len(members) for distinct members.
+    """
+    members = np.asarray(members, dtype=np.int64)
+    mask = np.zeros(1 << d, dtype=bool)
+    mask[members] = True
+    for i in range(d):
+        mask[members ^ (1 << i)] = True
+    return mask
+
+
 def external_neighborhood(oracle, S, within=None) -> set[int]:
-    """Vertices outside S adjacent to S; intersected with `within` if given."""
-    S = set(S)
-    if isinstance(oracle, Hypercube) and len(S) > 1024:
-        members = np.fromiter(S, dtype=np.int64, count=len(S))
-        parts = [members ^ (1 << i) for i in range(oracle.d)]
-        out = np.unique(np.concatenate(parts))
-        mask = np.ones(len(out), dtype=bool)
-        mask &= ~np.isin(out, members)
-        result = set(int(x) for x in out[mask])
+    """Vertices outside S adjacent to S; intersected with `within` if given.
+
+    On Q^d the boundary is read off closed_neighborhood_mask; callers
+    that only need a count or a lookup should use that mask directly.
+    Explicit oracles take the neighbor loop.
+    """
+    if isinstance(oracle, Hypercube):
+        members = np.fromiter(S, dtype=np.int64)
+        outside = members[(members < 0) | (members >= oracle.n)]
+        if outside.size:
+            raise InputDomainError(f"label {outside[0]} out of range for d={oracle.d}")
+        mask = closed_neighborhood_mask(oracle.d, members)
+        mask[members] = False
+        result = set(np.flatnonzero(mask).tolist())
     else:
+        S = set(S)
         result = set()
         for s in S:
             for u in oracle.neighbors(s):

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkers, rng, sprinkling
-from .cube import Hypercube, external_neighborhood, sphere2
+from .cube import Hypercube, closed_neighborhood_mask, sphere2
+from .cube import external_neighborhood  # noqa: F401 -- perfbench/spans.py wraps it here
 from .errors import InputDomainError, RefusalError
 from .percolation import (
     PercolationSample,
@@ -31,7 +32,10 @@ VERSION = "0.1.0"
 SCHEMA_VERSION = 1
 
 _HARD_CAP_D = 26
-_BYTES_PER_VERTEX = 32  # working-set model: labels, masks, scratch
+# Working-set model per mode, in bytes per vertex of Q^d: the growth of
+# ru_maxrss over one trial with every checker on measured 24-25 B/vertex
+# single-round and 40-52 two-round at d = 18-22, plus headroom.
+_BYTES_PER_VERTEX = {"single-round": 32, "two-round": 64}
 _EPSILON_INTENT_CAP = 0.3  # larger eps accepted but flagged
 _UNIQUENESS_FACTOR = 10  # "unique giant" convention: giant > 10 * second
 _DEFAULT_SQUID_C = 4.0
@@ -53,15 +57,16 @@ def memory_budget_gb() -> float:
     return value
 
 
-def check_memory_budget(d: int) -> None:
-    """Refuse, never truncate, when 2^d exceeds the working-set budget."""
+def check_memory_budget(d: int, mode: str = "single-round") -> None:
+    """Refuse, never truncate, when a `mode` trial on Q^d would not fit
+    the working-set budget."""
     if d > _HARD_CAP_D:
         raise RefusalError(f"d={d} above the hard cap d <= {_HARD_CAP_D}")
-    need = (1 << d) * _BYTES_PER_VERTEX
+    need = (1 << d) * _BYTES_PER_VERTEX[mode]
     budget = memory_budget_gb() * 2**30
     if need > budget:
         raise RefusalError(
-            f"d={d} needs ~{need / 2**30:.1f} GiB working set, "
+            f"d={d} {mode} needs ~{need / 2**30:.1f} GiB working set, "
             f"budget is {memory_budget_gb():.1f} GiB (CUBEPERC_MEM_GB)"
         )
 
@@ -256,26 +261,21 @@ def _plant_sphere2_violation(cube: Hypercube, sample):
 
 
 def _squid_inputs(cube, labeling, c_cap: float):
-    """Non-giant components (capped at c_cap*d vertices) against the
-    giant's closed neighborhood."""
+    """The giant's closed-neighborhood mask, and the non-giant components
+    of at most c_cap*d vertices, largest first, as member arrays."""
     order = labeling.order_by_size
     if len(order) == 0:
-        return set(), []
-    giant_id = int(order[0])
-    giant_members = labeling.members(giant_id)
-    region = set(int(v) for v in giant_members)
-    region |= external_neighborhood(cube, giant_members)
-    cap = c_cap * cube.d
-    candidates = []
-    for cid in order[1:]:
-        if labeling.size_of(int(cid)) <= cap:
-            candidates.append([int(v) for v in labeling.members(int(cid))])
-    return region, candidates
+        return np.zeros(cube.n, dtype=bool), []
+    region = closed_neighborhood_mask(cube.d, labeling.members(int(order[0])))
+    chosen = order[1:][labeling.sizes[order[1:]] <= c_cap * cube.d]
+    grouped, offsets = labeling.member_groups()
+    bounds = zip(offsets[chosen].tolist(), offsets[chosen + 1].tolist())
+    return region, [grouped[lo:hi] for lo, hi in bounds]
 
 
 def run_trial(config: TrialConfig) -> ExperimentRecord:
     """Execute one trial: sample, label, run enabled checkers, record."""
-    check_memory_budget(config.d)
+    check_memory_budget(config.d, config.mode)
     t0 = time.perf_counter()
     cube = Hypercube(config.d)
     n = cube.n

@@ -176,6 +176,10 @@ class ComponentLabeling:
     labels:   component id per entry of vertices; ids run 0..n_components-1
               in order of increasing minimum member
     sizes:    int64 array of member counts indexed by component id
+
+    Per-component member lists come from one grouping of `vertices` by
+    label, built on first use (see member_groups), so asking for every
+    component's members costs one sort rather than a scan per component.
     """
 
     def __init__(self, vertices: np.ndarray, labels: np.ndarray, sizes: np.ndarray):
@@ -183,6 +187,7 @@ class ComponentLabeling:
         self.labels = labels
         self.sizes = sizes
         self._order = None
+        self._groups = None
 
     @property
     def n_components(self) -> int:
@@ -209,8 +214,23 @@ class ComponentLabeling:
             return int(self.labels[i])
         return None
 
+    def member_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """(grouped, offsets): the members of component c, ascending, are
+        grouped[offsets[c]:offsets[c + 1]]. Built once; read-only."""
+        if self._groups is None:
+            grouped = self.vertices[np.argsort(self.labels, kind="stable")]
+            grouped.flags.writeable = False
+            offsets = np.zeros(len(self.sizes) + 1, dtype=np.int64)
+            np.cumsum(self.sizes, out=offsets[1:])
+            self._groups = (grouped, offsets)
+        return self._groups
+
     def members(self, cid: int) -> np.ndarray:
-        return self.vertices[self.labels == cid]
+        """Sorted members of component cid, as a read-only view."""
+        grouped, offsets = self.member_groups()
+        if not 0 <= cid < self.n_components:
+            return grouped[:0]
+        return grouped[offsets[cid] : offsets[cid + 1]]
 
     def size_multiset(self) -> tuple:
         return tuple(sorted(int(s) for s in self.sizes))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cube import Hypercube, xor_shift
+from .cube import Hypercube, closed_neighborhood_mask, xor_shift
 from .errors import InputDomainError, RefusalError
 from .percolation import (
     ComponentLabeling,
@@ -95,10 +95,7 @@ def classify_tms(cube: Hypercube, labeling_r1: ComponentLabeling, epsilon: float
     first, second = largest_two(labeling_r1)
     ambiguous = second * 2 > first
 
-    t_mask = np.zeros(n, dtype=bool)
-    t_mask[l1] = True
-    for i in range(d):
-        t_mask[l1 ^ (1 << i)] = True
+    t_mask = closed_neighborhood_mask(d, l1)
 
     t8 = t_mask.astype(np.uint8)
     counts = np.zeros(n, dtype=np.uint16)

@@ -174,3 +174,52 @@ def tree_subgraph_count(neighbor_fn, n: int, k: int) -> int:
             continue
         total += spanning_trees_by_edge_subsets(verts, edges)
     return total
+
+
+def check_squid_loop(cube, giant_region, candidates, epsilon: float, C: float):
+    """Per-candidate squid check, one candidate and one vertex at a time.
+
+    Returns the reports as dicts in ViolationReport.to_dict() form and
+    raises ValueError with the message the checker uses for the first
+    bad candidate; `cube` supplies neighbors() and its range check.
+    """
+    d = cube.d
+    region = {int(v) for v in giant_region}
+    deprived_bound = epsilon**2 * d / 40.0
+    report_bound = epsilon * d / 10.0
+    size_cap = C * d
+    reports = []
+    for i, cand in enumerate(candidates):
+        verts = [int(v) for v in cand]
+        if not verts:
+            raise ValueError(f"candidate {i} is empty")
+        if len(verts) != len(set(verts)):
+            raise ValueError(f"candidate {i} has repeated vertices")
+        if len(verts) > size_cap:
+            raise ValueError(f"candidate {i} has {len(verts)} vertices, above C*d = {size_cap}")
+        member = set(verts)
+        seen = {verts[0]}
+        stack = [verts[0]]
+        while stack:
+            v = stack.pop()
+            for u in cube.neighbors(v):
+                if u in member and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        if len(seen) != len(member):
+            raise ValueError(f"candidate {i} is not connected")
+        deprived = 0
+        for v in verts:
+            inside = sum(1 for u in cube.neighbors(v) if u in region)
+            if inside < deprived_bound:
+                deprived += 1
+        if deprived >= report_bound:
+            reports.append(
+                {
+                    "checker": "squid",
+                    "witness": {"candidate_index": i, "size": len(verts), "min_vertex": min(verts)},
+                    "measured": float(deprived),
+                    "threshold": report_bound,
+                }
+            )
+    return reports

@@ -14,6 +14,7 @@ from cubeperc.checkers import (
     chernoff_comparison,
     expansion_size_threshold,
     expansion_summary,
+    sphere2_counts,
     sphere2_summary,
     sphere2_threshold_unreachable,
     tree_count_bound,
@@ -373,3 +374,72 @@ def test_squid_validation_errors():
     with pytest.raises(InputDomainError):
         # size cap C*d = 2: a 3-vertex candidate is too big
         check_squid(q, {0}, [[0, 1, 3]], epsilon=0.5, C=0.5)
+
+
+def _random_candidates(rng, q, count, cap):
+    """Connected sets grown by random walks, plus each kind of bad input."""
+    out = []
+    for _ in range(count):
+        v = int(rng.integers(q.n))
+        cand = [v]
+        for _ in range(int(rng.integers(0, cap))):
+            v = v ^ (1 << int(rng.integers(q.d)))
+            if v not in cand:
+                cand.append(v)
+        rng.shuffle(cand)
+        out.append(cand)
+    return out
+
+
+def _squid_outcome(fn, *args):
+    try:
+        return [r if isinstance(r, dict) else r.to_dict() for r in fn(*args)], None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@pytest.mark.parametrize("d", [8, 9, 10])
+def test_squid_matches_per_candidate_loop(d):
+    q = Hypercube(d)
+    rng = np.random.default_rng(d)
+    C = 1.0
+    cap = int(C * d)
+    for trial in range(30):
+        region = {int(v) for v in rng.choice(q.n, size=int(rng.integers(0, q.n)), replace=False)}
+        candidates = _random_candidates(rng, q, int(rng.integers(0, 40)), cap)
+        if trial % 2 and candidates:
+            bad = [
+                [],  # empty
+                candidates[0] + candidates[0][:1],  # repeated
+                list(range(cap + 1)),  # oversized
+                [0, 3],  # disconnected
+                [q.n],  # a lone label outside Q^d
+                [0, 1, q.n + 1],  # trailing label outside Q^d
+            ][(trial // 2) % 6]
+            candidates.insert(int(rng.integers(len(candidates) + 1)), bad)
+        eps = float(rng.choice([0.3, 0.5, 1.0]))
+        arrays = [np.array(c, dtype=np.int64) for c in candidates]
+        mask = np.zeros(q.n, dtype=bool)
+        mask[list(region)] = True
+        want = _squid_outcome(oracles.check_squid_loop, q, region, candidates, eps, C)
+        assert _squid_outcome(check_squid, q, region, candidates, eps, C) == want
+        assert _squid_outcome(check_squid, q, mask, arrays, eps, C) == want
+
+
+def test_squid_error_names_first_bad_candidate():
+    q = Hypercube(4)
+    with pytest.raises(InputDomainError, match="candidate 1 is not connected"):
+        check_squid(q, {0}, [[1, 3], [1, 2], []], epsilon=0.5, C=4.0)
+    with pytest.raises(InputDomainError, match="candidate 0 has repeated vertices"):
+        check_squid(q, {0}, [[1, 2, 1]], epsilon=0.5, C=4.0)
+
+
+@pytest.mark.parametrize("d", [8, 10, 12])
+def test_sphere2_counts_match_enumeration(d):
+    q = Hypercube(d)
+    rng = np.random.default_rng(100 + d)
+    for density in (0.05, 0.3, 0.7):
+        labels = np.flatnonzero(rng.random(q.n) < density)
+        retained = set(labels.tolist())
+        counts = sphere2_counts(q, PercolationSample.from_labels(d, labels))
+        assert counts.tolist() == [len(sphere2(q, v) & retained) for v in range(q.n)]

@@ -122,16 +122,10 @@ def test_external_neighborhood_small_sets(d):
 
 
 def test_external_neighborhood_vector_path_matches_scalar():
-    # > 1024 members forces the numpy branch; compare with the loop branch
+    # a set of more than 1024 members, against the brute-force oracle
     q = Hypercube(11)
     S = set(range(1500))
-    fast = external_neighborhood(q, S)
-    slow = set()
-    for s in S:
-        for u in q.neighbors(s):
-            if u not in S:
-                slow.add(u)
-    assert fast == slow
+    assert external_neighborhood(q, S) == oracles.external_neighborhood_bruteforce(11, S)
 
 
 def test_external_neighborhood_within_filter():

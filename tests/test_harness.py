@@ -1,13 +1,18 @@
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cubeperc
 from cubeperc.errors import InputDomainError, RefusalError
 from cubeperc.harness import (
+    _BYTES_PER_VERTEX,
     CENSUS_COLUMNS,
     RECORD_FIELDS,
     TrialConfig,
@@ -26,6 +31,7 @@ from cubeperc.harness import (
     sweep,
     write_census_csv,
 )
+from cubeperc.percolation import ComponentLabeling
 from cubeperc.rng import derive_seed
 
 
@@ -77,6 +83,48 @@ def test_memory_env_budget(monkeypatch):
     monkeypatch.setenv("CUBEPERC_MEM_GB", "-3")
     with pytest.raises(InputDomainError):
         memory_budget_gb()
+
+
+def test_memory_budget_charges_per_mode(monkeypatch):
+    # 2^20 vertices: single-round needs 32 MiB, two-round 64 MiB
+    monkeypatch.setenv("CUBEPERC_MEM_GB", str(48 / 1024))
+    check_memory_budget(20, "single-round")
+    with pytest.raises(RefusalError, match="two-round"):
+        check_memory_budget(20, "two-round")
+    with pytest.raises(RefusalError):
+        run_trial(TrialConfig(d=20, epsilon=0.5, seed=1, mode="two-round"))
+
+
+_PEAK_SCRIPT = """
+import resource, sys
+from cubeperc.harness import TrialConfig, run_trial
+mode = sys.argv[1]
+checks = ("expansion", "sphere2", "squid")
+run_trial(TrialConfig(d=12, epsilon=0.5, seed=1, mode=mode, checks=checks))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+run_trial(TrialConfig(d=18, epsilon=0.5, seed=2, mode=mode, checks=checks))
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print((after - before) * 1024)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.parametrize("mode", ["single-round", "two-round"])
+def test_memory_model_covers_measured_peak(mode):
+    # a fresh process, warmed up at d=12 so imports and caches are not
+    # charged to the d=18 trial
+    src = os.path.dirname(os.path.dirname(cubeperc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_SCRIPT, mode],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+    )
+    grown = int(out.stdout.split()[-1])
+    assert grown <= (1 << 18) * _BYTES_PER_VERTEX[mode]
 
 
 # --- single trials ---
@@ -145,6 +193,23 @@ def test_trial_checker_summaries_structure():
     assert s["expansion"]["violations"] == len(s["expansion"]["witnesses"])
     assert s["sphere2"]["bound"] == 16
     assert "candidates" in s["squid"]
+
+
+def test_all_checks_trial_groups_members_once(monkeypatch):
+    calls = []
+    original = ComponentLabeling.members
+
+    def counted(self, cid):
+        calls.append(cid)
+        return original(self, cid)
+
+    monkeypatch.setattr(ComponentLabeling, "members", counted)
+    rec = run_trial(
+        TrialConfig(d=14, epsilon=0.5, seed=3, checks=("expansion", "sphere2", "squid"))
+    )
+    assert rec.components_total > 100
+    assert rec.checker_summaries["squid"]["candidates"] > 100
+    assert len(calls) < rec.components_total // 10
 
 
 def test_trial_planted_sphere2_is_caught():

@@ -241,6 +241,18 @@ def test_canonical_labeling_renumbers_arbitrary_ids():
         canonical_labeling(vertices, raw[:2])
 
 
+def test_members_equal_label_scan_on_random_labelings():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        vertices = np.unique(rng.integers(0, 1 << 12, size=int(rng.integers(1, 600))))
+        raw = rng.integers(0, int(rng.integers(1, 50)), size=len(vertices))
+        lab = canonical_labeling(vertices, raw)
+        for cid in range(lab.n_components):
+            assert np.array_equal(lab.members(cid), lab.vertices[lab.labels == cid])
+        assert len(lab.members(lab.n_components)) == 0
+        assert len(lab.members(-1)) == 0
+
+
 def test_canonical_labeling_empty():
     lab = canonical_labeling(np.empty(0, np.int64), np.empty(0, np.int64))
     assert lab.n_components == 0
