@@ -146,12 +146,7 @@ class _RecordWriter:
         if isinstance(result, harness.TrialFailure):
             self.fh.write(harness.failure_to_json(result) + "\n")
         elif self.fmt == "csv":
-            r = result.to_dict()
-            ratio = r["second"] / r["d"]
-            self.fh.write(
-                f'{r["d"]},{r["epsilon"]!r},{r["seed"]},{r["giant"]},'
-                f'{r["second"]},{ratio!r}\n'
-            )
+            self.fh.write(harness.census_csv_row(result.to_dict()))
         else:
             self.fh.write(harness.record_to_json(result) + "\n")
         self.count += 1

@@ -11,7 +11,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,12 +57,16 @@ def memory_budget_gb() -> float:
     return value
 
 
+def _working_set(d: int, mode: str) -> int:
+    return (1 << d) * _BYTES_PER_VERTEX[mode]
+
+
 def check_memory_budget(d: int, mode: str = "single-round") -> None:
     """Refuse, never truncate, when a `mode` trial on Q^d would not fit
     the working-set budget."""
     if d > _HARD_CAP_D:
         raise RefusalError(f"d={d} above the hard cap d <= {_HARD_CAP_D}")
-    need = (1 << d) * _BYTES_PER_VERTEX[mode]
+    need = _working_set(d, mode)
     budget = memory_budget_gb() * 2**30
     if need > budget:
         raise RefusalError(
@@ -136,50 +140,15 @@ class ExperimentRecord:
     version: str
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "d": self.d,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "mode": self.mode,
-            "p": self.p,
-            "p1": self.p1,
-            "p2": self.p2,
-            "retained": self.retained,
-            "giant": self.giant,
-            "second": self.second,
-            "components_total": self.components_total,
-            "top_sizes": list(self.top_sizes),
-            "giant_predicted": self.giant_predicted,
-            "checker_summaries": self.checker_summaries,
-            "merge_summary": self.merge_summary,
-            "wall_ms": self.wall_ms,
-            "version": self.version,
-        }
+        data = {name: getattr(self, name) for name in RECORD_FIELDS}
+        data["top_sizes"] = list(self.top_sizes)
+        return data
 
 
 VOLATILE_FIELDS = ("wall_ms", "version")
 
-RECORD_FIELDS = (
-    "schema_version",
-    "d",
-    "epsilon",
-    "seed",
-    "mode",
-    "p",
-    "p1",
-    "p2",
-    "retained",
-    "giant",
-    "second",
-    "components_total",
-    "top_sizes",
-    "giant_predicted",
-    "checker_summaries",
-    "merge_summary",
-    "wall_ms",
-    "version",
-)
+# the wire order of a record is the field order of ExperimentRecord
+RECORD_FIELDS = tuple(f.name for f in fields(ExperimentRecord))
 
 _PROBABILITY_FIELDS = ("p", "p1", "p2")
 
@@ -413,17 +382,29 @@ def make_grid(
     return configs, manifest
 
 
+def _jobs_within_budget(configs) -> int:
+    """How many of the largest trial the budget admits side by side;
+    trials the budget refuses outright allocate nothing."""
+    budget = memory_budget_gb() * 2**30
+    admitted = [need for need in (_working_set(c.d, c.mode) for c in configs) if need <= budget]
+    return max(1, int(budget // max(admitted))) if admitted else 1
+
+
 def sweep(configs, jobs: int = 1):
     """Yield one result per config in completion order.
 
     Failures come back as TrialFailure entries; the sweep never aborts
     on a single bad trial. jobs=1 runs inline (deterministic order);
     more jobs use a process pool, falling back to threads where
-    processes are unavailable.
+    processes are unavailable. Every worker holds a trial's working
+    set at once, so jobs is clamped to what the memory budget admits
+    for the largest trial in the grid.
     """
     configs = list(configs)
     if jobs < 1:
         raise InputDomainError(f"jobs must be >= 1, got {jobs}")
+    if jobs > 1 and len(configs) > 1:
+        jobs = min(jobs, _jobs_within_budget(configs))
     if jobs == 1 or len(configs) <= 1:
         for cfg in configs:
             try:
@@ -554,14 +535,16 @@ def read_records(path):
 CENSUS_COLUMNS = ("d", "epsilon", "seed", "giant", "second", "max_nongiant_over_d")
 
 
+def census_csv_row(r: dict) -> str:
+    """One line of the census table for a record dict, newline included."""
+    ratio = r["second"] / r["d"]
+    return f'{r["d"]},{r["epsilon"]!r},{r["seed"]},{r["giant"]},{r["second"]},{ratio!r}\n'
+
+
 def write_census_csv(records, fh) -> int:
     """Write the census table; returns the number of rows written."""
     fh.write(",".join(CENSUS_COLUMNS) + "\n")
-    count = 0
-    for r in _as_dicts(records):
-        ratio = r["second"] / r["d"]
-        fh.write(
-            f'{r["d"]},{r["epsilon"]!r},{r["seed"]},{r["giant"]},{r["second"]},{ratio!r}\n'
-        )
-        count += 1
-    return count
+    rows = _as_dicts(records)
+    for r in rows:
+        fh.write(census_csv_row(r))
+    return len(rows)

@@ -26,9 +26,10 @@ from .errors import InputDomainError, RefusalError
 from .percolation import (
     ComponentLabeling,
     PercolationSample,
-    canonical_labeling,
+    components,
     label_members,
     largest_two,
+    union_samples,
 )
 
 # === T/M/S classification ===
@@ -62,15 +63,6 @@ class TmsPartition:
     @property
     def l1_min_vertex(self) -> int:
         return int(self.l1_members[0])
-
-    def t_vertices(self) -> np.ndarray:
-        return np.flatnonzero(self.t_mask).astype(np.int64)
-
-    def m_vertices(self) -> np.ndarray:
-        return np.flatnonzero(self.m_mask).astype(np.int64)
-
-    def s_vertices(self) -> np.ndarray:
-        return np.flatnonzero(self.s_mask).astype(np.int64)
 
     def sizes(self) -> dict:
         t = int(self.t_mask.sum())
@@ -161,7 +153,7 @@ class MergeReport:
 
 @dataclass(frozen=True)
 class MergeAnalysis:
-    """Merge reports plus the incrementally built final labeling."""
+    """Merge reports plus the final labeling of R1 u R2."""
 
     reports: tuple
     final_labeling: ComponentLabeling
@@ -199,154 +191,75 @@ class MergeAnalysis:
         }
 
 
-def _find(parent: np.ndarray, v: int) -> int:
-    while parent[v] != v:
-        parent[v] = parent[parent[v]]
-        v = int(parent[v])
-    return v
-
-
 def merge_analysis(
     cube: Hypercube,
     partition: TmsPartition,
     r1: PercolationSample,
     r2: PercolationSample,
 ) -> MergeAnalysis:
-    """Stage the second exposure and report per-component merges.
+    """Label R1 u R2 once and report per-component merges.
 
-    Stage one labels the components B of (S u M) restricted to R1 u R2
-    and seeds a disjoint-set forest with those components plus L1'.
-    Stage two reveals the second-round T vertices in ascending label
-    order, uniting each with its already-active retained neighbors. A
-    component merges iff it has a T-neighbor retained in round two; the
-    flag is re-verified against the final labels.
+    The candidates B are the components of (S u M) restricted to
+    R1 u R2. By the staging facts in the module docstring, every
+    T-neighbor of a B lies outside L1' and outside R1, and a retained
+    T vertex is in L1' or adjacent to it. So B joins the giant iff
+    round two retains one of its T-neighbors, and otherwise stays a
+    component of its own: the outcome of revealing T after S u M does
+    not depend on the reveal order, and the final labeling is the
+    labeling of R1 u R2. The merge flags come from the T-neighbor scan
+    and are re-verified against that independent labeling.
     """
     if cube.n != len(partition.t_mask):
         raise InputDomainError("partition does not match the cube")
     if r1.d != cube.d or r2.d != cube.d:
         raise InputDomainError("sample dimension does not match the cube")
     n = cube.n
-    d = cube.d
     r1_mask = r1.as_bool()
-    r_mask = r1_mask | r2.as_bool()
     t_mask = partition.t_mask
-    # the staging below relies on T's first-round content being exactly
-    # L1', which holds iff the partition came from this sample's labeling
-    t_r1 = np.flatnonzero(t_mask & r1_mask)
-    if not np.array_equal(t_r1, partition.l1_members):
+    # the staging relies on T's first-round content being exactly L1',
+    # which holds iff the partition came from this sample's labeling
+    if not np.array_equal(np.flatnonzero(t_mask & r1_mask), partition.l1_members):
         raise InputDomainError("partition was not built from this first-round sample")
-    sm_members = np.flatnonzero(r_mask & ~t_mask).astype(np.int64)
+    sm_members = np.flatnonzero((r1_mask | r2.as_bool()) & ~t_mask)
     stage = label_members(cube, sm_members)
     k = stage.n_components
-
-    # aggregates per B: |B|, |B cap M|, |N_T(B)|, |N_T(B cap M)|, merge flag
-    sizes = stage.sizes
     in_m = partition.m_mask[sm_members]
-    m_sizes = (
-        np.bincount(stage.labels[in_m], minlength=k).astype(np.int64)
-        if k
-        else np.empty(0, np.int64)
-    )
-    pair_comp = []
-    pair_nb = []
-    pair_from_m = []
-    for i in range(d):
+    m_sizes = np.bincount(stage.labels[in_m], minlength=k)
+
+    # distinct (B, T-neighbor) pairs from one sort of (B, t, "not via M")
+    # keys: within a (B, t) run a pair reached from B cap M sorts first
+    keys = []
+    for i in range(cube.d):
         nb = sm_members ^ (1 << i)
         keep = t_mask[nb]
-        if keep.any():
-            pair_comp.append(stage.labels[keep])
-            pair_nb.append(nb[keep])
-            pair_from_m.append(in_m[keep])
-    nt_sizes = np.zeros(k, dtype=np.int64)
-    nt_m_sizes = np.zeros(k, dtype=np.int64)
-    merged_flags = np.zeros(k, dtype=bool)
-    if pair_comp:
-        comp = np.concatenate(pair_comp)
-        nb = np.concatenate(pair_nb)
-        from_m = np.concatenate(pair_from_m)
-        key = comp * n + nb
-        uniq, first = np.unique(key, return_index=True)
-        u_comp = (uniq // n).astype(np.int64)
-        u_nb = uniq % n
-        nt_sizes = np.bincount(u_comp, minlength=k).astype(np.int64)
-        key_m = key[from_m]
-        uniq_m = np.unique(key_m)
-        nt_m_sizes = np.bincount((uniq_m // n).astype(np.int64), minlength=k).astype(np.int64)
-        hit = r2.contains_many(u_nb)
-        merged_flags[u_comp[hit]] = True
+        keys.append(((stage.labels[keep] * n + nb[keep]) << 1) | ~in_m[keep])
+    key = np.sort(np.concatenate(keys))
+    pair = key >> 1
+    first = np.ones(len(key), dtype=bool)
+    np.not_equal(pair[1:], pair[:-1], out=first[1:])
+    comp, t = np.divmod(pair[first], n)
+    nt_sizes = np.bincount(comp, minlength=k)
+    nt_m_sizes = np.bincount(comp[(key[first] & 1) == 0], minlength=k)
+    merged = np.zeros(k, dtype=bool)
+    merged[comp[r2.contains_many(t)]] = True
 
-    # disjoint-set forest: stage-one components and L1' are the initial
-    # blocks; second-round T vertices activate one at a time
-    parent = np.arange(n, dtype=np.int64)
-    active = np.zeros(n, dtype=bool)
-    min_vertices = (
-        stage.vertices[np.unique(stage.labels, return_index=True)[1]]
-        if k
-        else np.empty(0, np.int64)
-    )
-    if k:
-        parent[stage.vertices] = min_vertices[stage.labels]
-        active[stage.vertices] = True
+    final = components(cube, union_samples(r1, r2))
+    grouped, offsets = stage.member_groups()
+    min_vertices = grouped[offsets[:-1]]
+    f_labels = final.labels[np.searchsorted(final.vertices, min_vertices)]
+    f_sizes = final.sizes[f_labels]
     l1 = partition.l1_members
-    parent[l1] = int(l1[0])
-    active[l1] = True
-
-    reveal = np.flatnonzero(t_mask & r2.as_bool() & ~r1_mask).astype(np.int64)
-    for v in reveal:
-        v = int(v)
-        active[v] = True
-        rv = _find(parent, v)
-        for i in range(d):
-            u = v ^ (1 << i)
-            if active[u]:
-                ru = _find(parent, u)
-                if ru != rv:
-                    if ru < rv:
-                        parent[rv] = ru
-                        rv = ru
-                    else:
-                        parent[ru] = rv
-
-    retained = np.flatnonzero(r_mask).astype(np.int64)
-    roots = parent[retained]
-    while True:
-        nxt = parent[roots]
-        if np.array_equal(nxt, roots):
-            break
-        roots = nxt
-    final = canonical_labeling(retained, roots)
-
-    giant_label = final.label_of(int(l1[0])) if len(l1) else None
-    giant_size = final.size_of(giant_label) if giant_label is not None else 0
-
-    reports = []
-    for cid in range(k):
-        b_min = int(min_vertices[cid])
-        f_label = final.label_of(b_min)
-        f_size = final.size_of(f_label)
-        merged = bool(merged_flags[cid])
-        if merged:
-            ok = f_label == giant_label
-        else:
-            ok = f_size == int(sizes[cid])
-        reports.append(
-            MergeReport(
-                component=cid,
-                min_vertex=b_min,
-                size=int(sizes[cid]),
-                m_size=int(m_sizes[cid]),
-                nt_size=int(nt_sizes[cid]),
-                nt_m_size=int(nt_m_sizes[cid]),
-                merged=merged,
-                final_size=int(f_size),
-                consistent=bool(ok),
-            )
-        )
+    giant = final.label_of(int(l1[0])) if len(l1) else -1
+    consistent = np.where(merged, f_labels == giant, f_sizes == stage.sizes)
+    columns = (
+        min_vertices, stage.sizes, m_sizes, nt_sizes, nt_m_sizes, merged, f_sizes, consistent
+    )
+    rows = zip(*(column.tolist() for column in columns))
     return MergeAnalysis(
-        reports=tuple(reports),
+        reports=tuple(MergeReport(cid, *row) for cid, row in enumerate(rows)),
         final_labeling=final,
-        giant_final_label=int(giant_label) if giant_label is not None else -1,
-        giant_final_size=int(giant_size),
+        giant_final_label=giant,
+        giant_final_size=final.size_of(giant) if giant >= 0 else 0,
     )
 
 

@@ -223,3 +223,76 @@ def check_squid_loop(cube, giant_region, candidates, epsilon: float, C: float):
                 }
             )
     return reports
+
+
+def _hypercube_components(d: int, alive):
+    """Components of Q^d induced on `alive`, as sets, by smallest member."""
+    alive = set(alive)
+    seen = set()
+    comps = []
+    for start in sorted(alive):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = {start}
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for i in range(d):
+                u = v ^ (1 << i)
+                if u in alive and u not in seen:
+                    seen.add(u)
+                    comp.add(u)
+                    queue.append(u)
+        comps.append(comp)
+    return comps
+
+
+def merge_reports_bruteforce(d: int, epsilon: float, r1, r2):
+    """Two-round merge reports by flood fill over Python sets.
+
+    r1, r2: the vertices retained in each round. The round-one giant is
+    the largest component of r1 (ties to the smaller minimum member);
+    T is the giant with its neighbors, M the vertices outside T with at
+    least eps^2*d/200 neighbors in T. Returns one dict per component B
+    of the union outside T, by smallest member, holding the MergeReport
+    fields: B merges iff round two retains a T-neighbor of B, and the
+    merge is consistent iff a merged B ends in the giant's final
+    component and an unmerged B ends as a component of its own.
+    """
+    n = 1 << d
+
+    def nbrs(v):
+        return [v ^ (1 << i) for i in range(d)]
+
+    r1, r2 = set(r1), set(r2)
+    union = r1 | r2
+    giant = max(_hypercube_components(d, r1), key=lambda c: (len(c), -min(c)))
+    t = giant | {u for v in giant for u in nbrs(v)}
+    threshold = epsilon**2 * d / 200.0
+    m = {v for v in range(n) if v not in t and sum(u in t for u in nbrs(v)) >= threshold}
+    final_of = {}
+    for comp in _hypercube_components(d, union):
+        for v in comp:
+            final_of[v] = comp
+    giant_final = final_of[min(giant)]
+    reports = []
+    for cid, b in enumerate(_hypercube_components(d, union - t)):
+        nt = {u for v in b for u in nbrs(v) if u in t}
+        nt_m = {u for v in b & m for u in nbrs(v) if u in t}
+        merged = bool(nt & r2)
+        final = final_of[min(b)]
+        reports.append(
+            {
+                "component": cid,
+                "min_vertex": min(b),
+                "size": len(b),
+                "m_size": len(b & m),
+                "nt_size": len(nt),
+                "nt_m_size": len(nt_m),
+                "merged": merged,
+                "final_size": len(final),
+                "consistent": final is giant_final if merged else len(final) == len(b),
+            }
+        )
+    return reports

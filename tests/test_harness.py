@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 import cubeperc
+from cubeperc import harness
 from cubeperc.errors import InputDomainError, RefusalError
 from cubeperc.harness import (
     _BYTES_PER_VERTEX,
     CENSUS_COLUMNS,
     RECORD_FIELDS,
+    VOLATILE_FIELDS,
     TrialConfig,
     TrialFailure,
     check_memory_budget,
@@ -255,6 +257,33 @@ def test_record_json_two_round_probabilities():
     assert parsed["p2"] == rec.p2
 
 
+# one line per config, serialized before the record fields and the
+# two-round merge analysis were last refactored, volatile fields removed
+_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_records.jsonl")
+_GOLDEN_CONFIGS = (
+    TrialConfig(d=12, epsilon=0.9, seed=1, mode="two-round", c_grid=(1.0, 2.0, 5.0, 10.0)),
+    TrialConfig(d=12, epsilon=0.5, seed=1, checks=("expansion", "sphere2", "squid")),
+)
+
+
+def _without_volatile(line: str) -> str:
+    for name in VOLATILE_FIELDS:
+        line = re.sub(rf',"{name}":("[^"]*"|[^,}}]*)', "", line)
+    return line
+
+
+def test_records_reproduce_golden_lines():
+    with open(_GOLDEN_PATH, encoding="utf-8") as fh:
+        golden = fh.read().splitlines()
+    assert len(golden) == len(_GOLDEN_CONFIGS)
+    for config, expected in zip(_GOLDEN_CONFIGS, golden):
+        assert _without_volatile(record_to_json(run_trial(config))) == expected
+    # the golden lines exercise merges and checker witnesses
+    merge = json.loads(golden[0])["merge_summary"]
+    assert merge["merged"] > 0 and merge["consistent"]
+    assert json.loads(golden[1])["checker_summaries"]["squid"]["witnesses"]
+
+
 def test_parse_record_rejects_non_object():
     with pytest.raises(ValueError):
         parse_record("[1,2,3]")
@@ -314,6 +343,38 @@ def test_sweep_captures_failures(monkeypatch):
     assert len(results) == 1
     assert isinstance(results[0], TrialFailure)
     assert "budget" in results[0].error
+
+
+def test_sweep_clamps_jobs_to_memory_budget(monkeypatch):
+    workers = []
+
+    class RecordingPool:
+        # records the worker count, then makes sweep fall back to threads
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            raise OSError("no processes")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    configs, _ = make_grid([6, 8], [0.3], trials=2, master_seed=5, mode="two-round")
+    largest = (1 << 8) * _BYTES_PER_VERTEX["two-round"]
+
+    monkeypatch.setenv("CUBEPERC_MEM_GB", str(2.5 * largest / 2**30))
+    results = list(sweep(configs, jobs=4))
+    assert workers == [2]
+    assert len(results) == 4 and not any(isinstance(r, TrialFailure) for r in results)
+
+    # one trial fits and two do not: the sweep runs inline, in grid order
+    monkeypatch.setenv("CUBEPERC_MEM_GB", str(1.5 * largest / 2**30))
+    results = list(sweep(configs, jobs=4))
+    assert workers == [2]
+    assert [(r.d, r.seed) for r in results] == [(c.d, c.seed) for c in configs]
+
+    # a trial the budget refuses allocates nothing, so it does not clamp
+    monkeypatch.setenv("CUBEPERC_MEM_GB", str(2.5 * largest / 2**30))
+    too_big = TrialConfig(d=12, epsilon=0.3, seed=1, mode="two-round")
+    results = list(sweep(configs + [too_big], jobs=4))
+    assert workers == [2, 2]
+    assert [r.d for r in results if isinstance(r, TrialFailure)] == [12]
 
 
 def test_sweep_rejects_bad_jobs():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from cubeperc.cube import Hypercube
 from cubeperc.errors import InputDomainError, RefusalError
 from cubeperc.percolation import (
@@ -178,6 +179,33 @@ def test_merge_flag_agrees_with_final_membership():
             assert r.final_size == r.size
         assert r.nt_m_size <= r.nt_size
         assert r.m_size <= r.size
+
+
+def test_merge_reports_match_bruteforce():
+    # a vertex at distance 2 from L1' has two common neighbors with it,
+    # both in T, so while the M threshold eps^2*d/200 is at most 2, M is
+    # all of N(T) and |N_T(B cap M)| = |N_T(B)|; classifying with
+    # eps = sqrt(500/d) (threshold 2.5) makes M a proper part of N(T)
+    seen = {"merged": 0, "unmerged": 0, "m_size": 0, "nt_m_below_nt": 0}
+    for d in range(5, 11):
+        for eps in (0.1, 0.5, 0.9):
+            for seed in (1, 2):
+                q = Hypercube(d)
+                plan = two_round_plan(eps, d)
+                r1 = sample_sites(d, plan.p1, derive_seed(seed, 1))
+                r2 = sample_sites(d, plan.p2, derive_seed(seed, 2))
+                for tms_eps in (eps, (500 / d) ** 0.5):
+                    ma = merge_analysis(q, _partition_for(q, r1, tms_eps), r1, r2)
+                    expected = oracles.merge_reports_bruteforce(
+                        d, tms_eps, r1.retained_labels().tolist(), r2.retained_labels().tolist()
+                    )
+                    assert [r.to_dict() for r in ma.reports] == expected, (d, eps, seed, tms_eps)
+                    for r in ma.reports:
+                        seen["merged" if r.merged else "unmerged"] += 1
+                        seen["m_size"] += r.m_size > 0
+                        seen["nt_m_below_nt"] += r.nt_m_size < r.nt_size
+    # the grid exercises every field with more than one value
+    assert all(seen.values()), seen
 
 
 def test_merge_rejects_foreign_partition():
