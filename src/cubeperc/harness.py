@@ -11,6 +11,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -422,6 +423,11 @@ def sweep(configs, jobs: int = 1):
             cfg = futures[fut]
             try:
                 yield fut.result()
+            except BrokenProcessPool:  # a dead worker fails every pending trial
+                need = _working_set(cfg.d, cfg.mode) / 2**30
+                yield TrialFailure(cfg.d, cfg.epsilon, cfg.seed, cfg.mode, (
+                    f"a worker process died (BrokenProcessPool); the trial's modelled working"
+                    f" set is {need:.3g} GiB of a {memory_budget_gb():.3g} GiB budget"))
             except Exception as exc:
                 yield TrialFailure(cfg.d, cfg.epsilon, cfg.seed, cfg.mode, str(exc))
 

@@ -17,7 +17,7 @@ vertex that is not in L1' touches L1' directly when revealed.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -151,40 +151,49 @@ class MergeReport:
         return dict(self.__dict__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MergeAnalysis:
-    """Merge reports plus the final labeling of R1 u R2."""
+    """Per-candidate merge results as columns, one numpy array per
+    MergeReport field indexed by candidate id, plus the final labeling of
+    R1 u R2. `reports` builds the MergeReport rows on each access."""
 
-    reports: tuple
+    min_vertex: np.ndarray
+    size: np.ndarray
+    m_size: np.ndarray
+    nt_size: np.ndarray
+    nt_m_size: np.ndarray
+    merged: np.ndarray
+    final_size: np.ndarray
+    consistent: np.ndarray
     final_labeling: ComponentLabeling
     giant_final_label: int
     giant_final_size: int
 
+    @property
+    def reports(self) -> tuple:
+        columns = (getattr(self, f.name).tolist() for f in fields(MergeReport)[1:])
+        return tuple(MergeReport(cid, *row) for cid, row in enumerate(zip(*columns)))
+
     def merged_count(self) -> int:
-        return sum(1 for r in self.reports if r.merged)
+        return int(np.count_nonzero(self.merged))
 
     def all_consistent(self) -> bool:
-        return all(r.consistent for r in self.reports)
+        return bool(np.all(self.consistent))
 
     def rate_table(self, c_values, d: int) -> list:
         """Merge rate among components with |B cap M| >= c*d, per c."""
         rows = []
         for c in c_values:
-            eligible = [r for r in self.reports if r.m_size >= c * d]
-            merged = sum(1 for r in eligible if r.merged)
-            rows.append(
-                {
-                    "c": float(c),
-                    "eligible": len(eligible),
-                    "merged": merged,
-                    "rate": merged / len(eligible) if eligible else None,
-                }
-            )
+            eligible = self.m_size >= c * d
+            count = int(np.count_nonzero(eligible))
+            merged = int(np.count_nonzero(self.merged & eligible))
+            rate = merged / count if count else None
+            rows.append({"c": float(c), "eligible": count, "merged": merged, "rate": rate})
         return rows
 
     def summary(self) -> dict:
         return {
-            "candidates": len(self.reports),
+            "candidates": len(self.min_vertex),
             "merged": self.merged_count(),
             "consistent": self.all_consistent(),
             "giant_final_size": self.giant_final_size,
@@ -251,12 +260,8 @@ def merge_analysis(
     l1 = partition.l1_members
     giant = final.label_of(int(l1[0])) if len(l1) else -1
     consistent = np.where(merged, f_labels == giant, f_sizes == stage.sizes)
-    columns = (
-        min_vertices, stage.sizes, m_sizes, nt_sizes, nt_m_sizes, merged, f_sizes, consistent
-    )
-    rows = zip(*(column.tolist() for column in columns))
     return MergeAnalysis(
-        reports=tuple(MergeReport(cid, *row) for cid, row in enumerate(rows)),
+        min_vertices, stage.sizes, m_sizes, nt_sizes, nt_m_sizes, merged, f_sizes, consistent,
         final_labeling=final,
         giant_final_label=giant,
         giant_final_size=final.size_of(giant) if giant >= 0 else 0,

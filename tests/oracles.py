@@ -296,3 +296,31 @@ def merge_reports_bruteforce(d: int, epsilon: float, r1, r2):
             }
         )
     return reports
+
+
+def rate_table_loop(reports, c_values, d: int):
+    """Merge rate among reports with m_size >= c*d, per c, one report at
+    a time; reports are MergeReport rows."""
+    rows = []
+    for c in c_values:
+        eligible = [r for r in reports if r.m_size >= c * d]
+        merged = sum(1 for r in eligible if r.merged)
+        rows.append(
+            {
+                "c": float(c),
+                "eligible": len(eligible),
+                "merged": merged,
+                "rate": merged / len(eligible) if eligible else None,
+            }
+        )
+    return rows
+
+
+def merge_summary_loop(reports, giant_final_size: int):
+    """The merge summary of MergeReport rows, one report at a time."""
+    return {
+        "candidates": len(reports),
+        "merged": sum(1 for r in reports if r.merged),
+        "consistent": all(r.consistent for r in reports),
+        "giant_final_size": giant_final_size,
+    }

@@ -5,6 +5,8 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -104,7 +106,7 @@ mode = sys.argv[1]
 checks = ("expansion", "sphere2", "squid")
 run_trial(TrialConfig(d=12, epsilon=0.5, seed=1, mode=mode, checks=checks))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-run_trial(TrialConfig(d=18, epsilon=0.5, seed=2, mode=mode, checks=checks))
+run_trial(TrialConfig(d=20, epsilon=0.5, seed=2, mode=mode, checks=checks))
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print((after - before) * 1024)
 """
@@ -114,7 +116,7 @@ print((after - before) * 1024)
 @pytest.mark.parametrize("mode", ["single-round", "two-round"])
 def test_memory_model_covers_measured_peak(mode):
     # a fresh process, warmed up at d=12 so imports and caches are not
-    # charged to the d=18 trial
+    # charged to the d=20 trial, which runs every checker in either mode
     src = os.path.dirname(os.path.dirname(cubeperc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
@@ -126,7 +128,7 @@ def test_memory_model_covers_measured_peak(mode):
         timeout=300,
     )
     grown = int(out.stdout.split()[-1])
-    assert grown <= (1 << 18) * _BYTES_PER_VERTEX[mode]
+    assert grown <= (1 << 20) * _BYTES_PER_VERTEX[mode]
 
 
 # --- single trials ---
@@ -375,6 +377,62 @@ def test_sweep_clamps_jobs_to_memory_budget(monkeypatch):
     results = list(sweep(configs + [too_big], jobs=4))
     assert workers == [2, 2]
     assert [r.d for r in results if isinstance(r, TrialFailure)] == [12]
+
+
+def test_sweep_falls_back_to_threads(monkeypatch):
+    threads = []
+
+    class RecordingThreads(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            threads.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    def no_processes(max_workers):
+        raise OSError("no processes")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_processes)
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingThreads)
+    configs, _ = make_grid([6, 8], [0.3, 0.6], trials=2, master_seed=3, mode="two-round",
+                           checks=("expansion", "squid"), c_grid=(0.5, 1.0))
+    inline = list(sweep(configs, jobs=1))
+    grid_order = {(c.d, c.epsilon, c.seed): i for i, c in enumerate(configs)}
+    threaded = sorted(sweep(configs, jobs=2), key=lambda r: grid_order[r.d, r.epsilon, r.seed])
+    assert threads == [2]
+    assert not any(isinstance(r, TrialFailure) for r in inline + threaded)
+    assert len(threaded) == len(inline) == len(configs)
+    for a, b in zip(inline, threaded):
+        assert records_equal_modulo_volatile(a, b)
+
+
+def test_sweep_names_a_dead_worker(monkeypatch):
+    class DeadPool:
+        # every future fails as a pool does after one worker is killed
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, cfg):
+            fut = Future()
+            fut.set_exception(BrokenProcessPool("A process in the process pool was "
+                                                "terminated abruptly"))
+            return fut
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", DeadPool)
+    monkeypatch.setenv("CUBEPERC_MEM_GB", "0.5")
+    configs = [TrialConfig(d=6, epsilon=0.3, seed=1),
+               TrialConfig(d=8, epsilon=0.3, seed=2, mode="two-round")]
+    results = list(sweep(configs, jobs=2))
+    assert sorted((r.d, r.mode) for r in results) == [(6, "single-round"), (8, "two-round")]
+    for r in results:
+        assert isinstance(r, TrialFailure)
+        assert "worker process died (BrokenProcessPool)" in r.error
+        need = (1 << r.d) * _BYTES_PER_VERTEX[r.mode] / 2**30
+        assert f"working set is {need:.3g} GiB of a 0.5 GiB budget" in r.error
 
 
 def test_sweep_rejects_bad_jobs():

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -227,6 +230,11 @@ def test_merge_rejects_dimension_mismatch():
         merge_analysis(Hypercube(7), part, r1, sample_sites(7, 0.1, 2))
 
 
+def _columns_of(reports):
+    """The MergeAnalysis columns holding the given MergeReport rows."""
+    return [np.array(column) for column in zip(*map(dataclasses.astuple, reports))][1:]
+
+
 def test_rate_table_buckets_by_m_size():
     d = 2
     dummy = canonical_labeling(np.arange(3, dtype=np.int64), np.zeros(3, np.int64))
@@ -235,7 +243,8 @@ def test_rate_table_buckets_by_m_size():
         MergeReport(1, 1, 9, 5, 3, 2, True, 30, True),
         MergeReport(2, 2, 9, 12, 3, 3, True, 30, True),
     )
-    ma = MergeAnalysis(reports, dummy, 0, 30)
+    ma = MergeAnalysis(*_columns_of(reports), dummy, 0, 30)
+    assert ma.reports == reports
     rows = ma.rate_table([1, 2, 5, 10], d)
     by_c = {row["c"]: row for row in rows}
     assert by_c[1.0] == {"c": 1.0, "eligible": 2, "merged": 2, "rate": 1.0}
@@ -248,6 +257,54 @@ def test_rate_table_buckets_by_m_size():
         "consistent": True,
         "giant_final_size": 30,
     }
+
+
+def _assert_plain(value):
+    # json writes numpy scalars differently or not at all, so every
+    # value reaching a record must be a built-in
+    if isinstance(value, dict):
+        for v in value.values():
+            _assert_plain(v)
+    elif isinstance(value, list):
+        for v in value:
+            _assert_plain(v)
+    else:
+        assert type(value) in (int, bool, float, type(None)), (value, type(value))
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 500])
+def test_columnar_reductions_match_per_report_loop(k):
+    rng = np.random.default_rng(k)
+    d = 4
+    sizes = rng.integers(1, 4 * d, size=k)
+    columns = {
+        "min_vertex": np.sort(rng.choice(1 << 12, size=k, replace=False)),
+        "size": sizes,
+        "m_size": rng.integers(0, sizes + 1),
+        "nt_size": rng.integers(1, 10, size=k),
+        "nt_m_size": rng.integers(0, 3, size=k),
+        "merged": rng.random(k) < 0.4,
+        "final_size": rng.integers(1, 100, size=k),
+        "consistent": rng.random(k) < (0.5 if k == 7 else 1.0),
+    }
+    if k:
+        columns["size"][0] = columns["m_size"][0] = 4  # exactly 1*d
+    dummy = canonical_labeling(np.arange(3, dtype=np.int64), np.zeros(3, np.int64))
+    ma = MergeAnalysis(**columns, final_labeling=dummy, giant_final_label=0,
+                       giant_final_size=1000)
+    # c*d hits integers exactly (1, 2, 0.25*4), falls between them (0.3*4,
+    # 2.5/3*4), repeats, is unsorted, is zero and exceeds every m_size
+    c_values = [2, 0.25, 0.3, 2.5 / 3, 0, 2, 1, 0.5, 100]
+    rows = ma.rate_table(c_values, d)
+    reports = ma.reports
+    assert len(reports) == k
+    # equal as json text, so 1 and 1.0 or True differ, as they do in a record
+    assert json.dumps(rows) == json.dumps(oracles.rate_table_loop(reports, c_values, d))
+    assert json.dumps(ma.summary()) == json.dumps(oracles.merge_summary_loop(reports, 1000))
+    _assert_plain(rows)
+    _assert_plain(ma.summary())
+    assert ma.merged_count() == sum(r.merged for r in reports)
+    assert ma.all_consistent() == all(r.consistent for r in reports)
 
 
 # --- census ---
