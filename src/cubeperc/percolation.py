@@ -7,8 +7,12 @@ and the lazy DFS explorer sees exactly the bits the eager sampler drew.
 Component labeling over the implicit hypercube has two interchangeable
 backends behind one canonical output:
 
-* sparse path (the common supercritical case): induced edges extracted
-  per coordinate with vectorized XOR, labeled by scipy's compressed
+* sparse path (the common supercritical case): works on the packed
+  sample as uint64 words. The edges along coordinate i are the set bits
+  of w & (w >> 2^i) within a word for i < 6, and of the AND of word
+  pairs 2^(i-6) apart for i >= 6. A retained vertex's index among the
+  members is its rank: the popcount of all earlier words plus that of
+  its own word below it. The int32 rank pairs go to scipy's compressed
   sparse connected_components;
 * dense path (retained fraction above 1/4, where an edge list would
   break the O(n)-words budget): vectorized minimum-label propagation
@@ -27,10 +31,14 @@ from scipy.sparse.csgraph import connected_components as _sp_connected
 
 from . import rng
 from .cube import Hypercube
-from .errors import InputDomainError
+from .errors import InputDomainError, RefusalError
 
-_CHUNK = 1 << 20
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
+# 2^16-key blocks keep the hash's uint64 passes in L2: d=22 sampling took 57 ms
+# in 2^20-key blocks and 14 ms in these (2-vCPU VM)
+_CHUNK = 1 << 16
+_ONE = np.uint64(1)
+# _LOW[i]: the bits b of a word whose coordinate i is 0 (0x5555..., 0x3333..., ...)
+_LOW = tuple(np.uint64(sum(1 << b for b in range(64) if not b >> i & 1)) for i in range(6))
 
 # === samples ===
 
@@ -58,7 +66,7 @@ class PercolationSample:
         return ((byte >> (labels & 7).astype(np.uint8)) & 1).astype(bool)
 
     def retained_count(self) -> int:
-        return int(_POPCOUNT8[self.bits].sum(dtype=np.int64))
+        return int(np.bitwise_count(self.bits).sum(dtype=np.int64))
 
     def as_bool(self) -> np.ndarray:
         """Unpacked membership as a bool array of length n."""
@@ -97,13 +105,9 @@ def sample_sites(d: int, p: float, seed: int) -> PercolationSample:
     if not 0.0 <= p <= 1.0:
         raise InputDomainError(f"probability must be in [0, 1], got {p}")
     n = 1 << d
-    threshold = rng.coin_threshold(p)
     out = np.empty((n + 7) // 8, dtype=np.uint8)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        keys = np.arange(lo, hi, dtype=np.uint64)
-        bits = rng.coins_array(seed, keys, threshold)
-        out[lo // 8 : (hi + 7) // 8] = np.packbits(bits, bitorder="little")
+    for lo, coins in rng.coin_blocks(seed, n, rng.coin_threshold(p), _CHUNK):
+        out[lo // 8 : (lo + len(coins) + 7) // 8] = np.packbits(coins, bitorder="little")
     return PercolationSample(d, p, seed, out)
 
 
@@ -264,42 +268,91 @@ def _canonical_from_raw(vertices: np.ndarray, raw: np.ndarray) -> ComponentLabel
     """Renumber raw component ids by order of first occurrence.
 
     `vertices` is sorted ascending, so first-occurrence order equals
-    increasing minimum member.
+    increasing minimum member. scipy numbers components from their
+    lowest node, so its ids are usually in that order already; an O(m)
+    check (start at 0, running maximum steps by at most 1) lets them
+    through without the sort.
     """
-    uniq, first = np.unique(raw, return_index=True)
-    remap = np.empty(len(uniq), dtype=np.int64)
-    remap[np.argsort(first, kind="stable")] = np.arange(len(uniq))
-    labels = remap[np.searchsorted(uniq, raw)]
-    sizes = np.bincount(labels, minlength=len(uniq)).astype(np.int64)
+    top = np.maximum.accumulate(raw)
+    if raw[0] == 0 and raw.min() >= 0 and np.diff(top).max(initial=0) <= 1:
+        labels = raw.astype(np.int64)
+    else:
+        uniq, first = np.unique(raw, return_index=True)
+        remap = np.empty(len(uniq), dtype=np.int64)
+        remap[np.argsort(first, kind="stable")] = np.arange(len(uniq))
+        labels = remap[np.searchsorted(uniq, raw)]
+    sizes = np.bincount(labels).astype(np.int64, copy=False)
     return ComponentLabeling(vertices, labels, sizes)
 
 
-def _label_members_hypercube(d: int, members: np.ndarray, member_mask: np.ndarray) -> ComponentLabeling:
-    """Label components of Q^d induced on `members` (sorted labels)."""
+def _set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(j, bit) for every set bit of every words[j], bit as a one-bit word.
+
+    Each round peels the lowest set bit off the words still nonzero, so
+    there are as many rounds as the largest popcount.
+    """
+    j = np.flatnonzero(words)
+    rest = words[j]
+    js, lows = [], []
+    while len(j):
+        cleared = rest & (rest - _ONE)
+        js.append(j)
+        lows.append(rest ^ cleared)
+        keep = cleared != 0
+        j = j[keep]
+        rest = cleared[keep]
+    # j and rest are empty here; they stand in when no word was nonzero
+    return np.concatenate(js + [j]), np.concatenate(lows + [rest])
+
+
+def _label_packed(d: int, bits: np.ndarray) -> ComponentLabeling:
+    """Label components of Q^d induced on the set bits of `bits`
+    (ceil(n/8) bytes, little bit order, as PercolationSample.bits)."""
     n = 1 << d
-    m = len(members)
+    if d < 6:
+        # one word, with any padding bits past n cleared
+        word = int.from_bytes(bits.tobytes(), "little") & ((1 << n) - 1)
+        words = np.array([word], dtype=np.uint64)
+    else:
+        words = bits.view("<u8")
+    counts = np.bitwise_count(words)
+    ends = np.cumsum(counts, dtype=np.int64)
+    m = int(ends[-1])
     if m == 0:
-        return ComponentLabeling(members, np.empty(0, np.int64), np.empty(0, np.int64))
+        return ComponentLabeling(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64))
     # dense stays O(n) words: d=20 peaks 15/47/75 vs sparse 51/236/701 B/vertex at p=.3/.6/1
     if m > n // 4:
-        return _label_dense(d, member_mask)
-    rows = []
-    cols = []
+        return _label_dense(d, np.unpackbits(bits, count=n, bitorder="little").view(bool))
+    # ranks are int32: m <= n/4 < 2^31 up to d = 32, past the harness's d <= 26
+    start = (ends - counts).astype(np.int32)
+
+    def rank(j, bit):
+        """Index among the members of the vertex at word j, bit."""
+        return start[j] + np.bitwise_count(words[j] & (bit - _ONE))
+
+    j, bit = _set_bits(words)
+    vertices = np.empty(m, dtype=np.int64)
+    vertices[rank(j, bit)] = (j << 6) | np.bitwise_count(bit - _ONE)
+    lower, upper = [], []
     for i in range(d):
-        partner = members ^ (1 << i)
-        keep = (partner > members) & member_mask[partner]
-        if keep.any():
-            rows.append(np.flatnonzero(keep))
-            cols.append(np.searchsorted(members, partner[keep]))
-    if rows:
-        u = np.concatenate(rows)
-        v = np.concatenate(cols)
-        data = np.ones(len(u), dtype=np.int8)
-        graph = coo_matrix((data, (u, v)), shape=(m, m))
-        _, raw = _sp_connected(graph, directed=False)
-    else:
-        raw = np.arange(m, dtype=np.int64)
-    return _canonical_from_raw(members, raw.astype(np.int64))
+        if i < 6:
+            shift = np.uint64(1 << i)
+            j, bit = _set_bits(words & (words >> shift) & _LOW[i])
+            lower.append(rank(j, bit))
+            upper.append(rank(j, bit << shift))
+        else:
+            half = 1 << (i - 6)
+            pairs = words.reshape(-1, 2, half)
+            f, bit = _set_bits((pairs[:, 0] & pairs[:, 1]).ravel())
+            j = f + (f // half) * half
+            lower.append(rank(j, bit))
+            upper.append(rank(j + half, bit))
+    rows = np.concatenate(lower)
+    cols = np.concatenate(upper)
+    del lower, upper
+    graph = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(m, m))
+    _, raw = _sp_connected(graph, directed=False)
+    return _canonical_from_raw(vertices, raw)
 
 
 def _label_dense(d: int, member_mask: np.ndarray) -> ComponentLabeling:
@@ -360,12 +413,11 @@ def _label_members_generic(oracle, members: np.ndarray) -> ComponentLabeling:
 def label_members(oracle, members: np.ndarray) -> ComponentLabeling:
     """Components of the subgraph induced on an explicit member set."""
     members = np.asarray(members, dtype=np.int64)
-    members = np.sort(members)
     if isinstance(oracle, Hypercube):
         mask = np.zeros(oracle.n, dtype=bool)
         mask[members] = True
-        return _label_members_hypercube(oracle.d, members, mask)
-    return _label_members_generic(oracle, members)
+        return _label_packed(oracle.d, np.packbits(mask, bitorder="little"))
+    return _label_members_generic(oracle, np.sort(members))
 
 
 def components(oracle, sample: PercolationSample) -> ComponentLabeling:
@@ -379,9 +431,7 @@ def components(oracle, sample: PercolationSample) -> ComponentLabeling:
             f"sample covers {sample.n} vertices, oracle has {oracle.n}"
         )
     if isinstance(oracle, Hypercube):
-        mask = sample.as_bool()
-        members = np.flatnonzero(mask).astype(np.int64)
-        return _label_members_hypercube(oracle.d, members, mask)
+        return _label_packed(oracle.d, sample.bits)
     return _label_members_generic(oracle, sample.retained_labels())
 
 
@@ -407,6 +457,11 @@ class DfsTrace:
     epochs: tuple
 
 
+# the pure-Python DFS ran 0.20 Mvertex/s at p = 1 (0.56 at p = 0.1) with
+# ~96 B/vertex peak at d=18 on a 2-vCPU VM: 2^20 vertices is ~5 s, ~100 MB
+_DFS_MAX_N = 1 << 20
+
+
 def dfs_explore(oracle, p: float, seed: int) -> tuple[ComponentLabeling, DfsTrace]:
     """Discover components while generating the sample lazily.
 
@@ -417,11 +472,17 @@ def dfs_explore(oracle, p: float, seed: int) -> tuple[ComponentLabeling, DfsTrac
     holding exactly k positive answers and at most k + |N(component)|
     queries in total. The coins come from the same keyed generator as
     sample_sites, so the resulting labeling is identical bit-for-bit to
-    components(sample_sites(d, p, seed)).
+    components(sample_sites(d, p, seed)). Refuses graphs above
+    _DFS_MAX_N vertices, where components() is the tool.
     """
     if not 0.0 <= p <= 1.0:
         raise InputDomainError(f"probability must be in [0, 1], got {p}")
     n = oracle.n
+    if n > _DFS_MAX_N:
+        raise RefusalError(
+            f"dfs_explore over {n} vertices is above its cap of {_DFS_MAX_N}: "
+            "the exploration is pure Python, O(nd); use components(sample_sites(...))"
+        )
     threshold = rng.coin_threshold(p)
     queried = bytearray(n)
     comp_of: dict[int, int] = {}

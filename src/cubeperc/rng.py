@@ -38,18 +38,26 @@ def keyed_hash(seed: int, key: int) -> int:
     return mix64((seed + (key + 1) * _GOLDEN) & _MASK64)
 
 
+def _mix64_array(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """mix64 over a uint64 array in place; tmp is scratch of z's shape."""
+    np.right_shift(z, np.uint64(30), out=tmp)
+    z ^= tmp
+    z *= np.uint64(_MIX1)
+    np.right_shift(z, np.uint64(27), out=tmp)
+    z ^= tmp
+    z *= np.uint64(_MIX2)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
+    return z
+
+
 def keyed_hash_array(seed: int, keys: np.ndarray) -> np.ndarray:
     """Vectorized keyed_hash over an integer key array (returns uint64)."""
     z = keys.astype(np.uint64, copy=True)
     z += np.uint64(1)
     z *= np.uint64(_GOLDEN)
     z += np.uint64(seed & _MASK64)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
-    return z
+    return _mix64_array(z, np.empty_like(z))
 
 
 def coin_threshold(p: float) -> int:
@@ -68,6 +76,29 @@ def coin(seed: int, key: int, threshold: int) -> bool:
 def coins_array(seed: int, keys: np.ndarray, threshold: int) -> np.ndarray:
     """Vectorized coin over a key array; returns a bool array."""
     return (keyed_hash_array(seed, keys) >> np.uint64(11)) < np.uint64(threshold)
+
+
+def coin_blocks(seed: int, n: int, threshold: int, size: int):
+    """Yield (lo, coins) for consecutive key blocks covering range(n).
+
+    coins equals coins_array(seed, arange(lo, lo + len(coins)), threshold)
+    and is overwritten by the next block. The pre-mix words
+    seed + (key+1)*phi of consecutive keys step by phi, so each block
+    starts as one add of its base to a fixed progression, and every pass
+    reuses the same buffers.
+    """
+    size = min(size, n)
+    steps = np.arange(size, dtype=np.uint64) * np.uint64(_GOLDEN)
+    z = np.empty(size, dtype=np.uint64)
+    tmp = np.empty(size, dtype=np.uint64)
+    coins = np.empty(size, dtype=bool)
+    for lo in range(0, n, size):
+        k = min(size, n - lo)
+        np.add(steps[:k], np.uint64((seed + (lo + 1) * _GOLDEN) & _MASK64), out=z[:k])
+        _mix64_array(z[:k], tmp[:k])
+        np.right_shift(z[:k], np.uint64(11), out=tmp[:k])
+        np.less(tmp[:k], np.uint64(threshold), out=coins[:k])
+        yield lo, coins[:k]
 
 
 def derive_seed(seed: int, index: int) -> int:

@@ -324,3 +324,38 @@ def merge_summary_loop(reports, giant_final_size: int):
         "consistent": all(r.consistent for r in reports),
         "giant_final_size": giant_final_size,
     }
+
+
+def label_by_searchsorted(d: int, members):
+    """Components of Q^d induced on `members`, coordinate by coordinate.
+
+    For each coordinate i, flips bit i of every member, keeps the
+    partners that are larger and retained, and finds their indices with
+    searchsorted; scipy's connected_components then labels the edge list,
+    and ids are renumbered by first occurrence in sorted member order.
+    Returns (vertices, labels, sizes) as int64 arrays.
+    """
+    import numpy as np
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    vertices = np.unique(np.asarray(members, dtype=np.int64))
+    mask = np.zeros(1 << d, dtype=bool)
+    mask[vertices] = True
+    rows, cols = [], []
+    for i in range(d):
+        partner = vertices ^ (1 << i)
+        keep = (partner > vertices) & mask[partner]
+        rows.append(np.flatnonzero(keep))
+        cols.append(np.searchsorted(vertices, partner[keep]))
+    m = len(vertices)
+    graph = coo_matrix(
+        (np.ones(sum(map(len, rows)), dtype=np.int8), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(m, m),
+    )
+    _, raw = connected_components(graph, directed=False)
+    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first, kind="stable")] = np.arange(len(first))
+    labels = rank[inverse]
+    return vertices, labels, np.bincount(labels, minlength=len(first)).astype(np.int64)

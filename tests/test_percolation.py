@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from cubeperc import percolation, rng
 from cubeperc.cube import Cycle, Hypercube, external_neighborhood
-from cubeperc.errors import InputDomainError
+from cubeperc.errors import InputDomainError, RefusalError
 from cubeperc.percolation import (
     ComponentLabeling,
     PercolationSample,
@@ -42,6 +43,16 @@ def test_sample_rate_near_p():
     s = sample_sites(16, 0.25, 5)
     rate = s.retained_count() / s.n
     assert abs(rate - 0.25) < 0.01
+
+
+@pytest.mark.parametrize("d", [3, 5, 15, 16, 17])
+@pytest.mark.parametrize("p", [0.0, 0.07, 1.0])
+def test_sample_matches_coins_array_across_blocks(d, p):
+    # d = 16 is exactly one sampling block; 17 spans two
+    seed = 2024
+    keys = np.arange(1 << d, dtype=np.uint64)
+    expected = np.packbits(rng.coins_array(seed, keys, rng.coin_threshold(p)), bitorder="little")
+    assert np.array_equal(sample_sites(d, p, seed).bits, expected)
 
 
 def test_sample_rejects_bad_args():
@@ -142,6 +153,38 @@ def test_components_match_flood_fill(d, p, seed):
     assert list(lab.size_multiset()) == expected
 
 
+def _assert_same_labeling(lab, reference):
+    vertices, labels, sizes = reference
+    for got, want in ((lab.vertices, vertices), (lab.labels, labels), (lab.sizes, sizes)):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", range(1, 15))
+def test_components_match_searchsorted_reference(d):
+    # sparse p; d < 6 is one padded word, d > 6 reaches the word-pair edges
+    for p in (0.03, 0.1, 0.2):
+        for seed in (1, 2):
+            s = sample_sites(d, p, seed)
+            lab = components(Hypercube(d), s)
+            _assert_same_labeling(lab, oracles.label_by_searchsorted(d, s.retained_labels()))
+
+
+@pytest.mark.parametrize("d", range(4, 15))
+def test_label_members_matches_searchsorted_reference(d):
+    n = 1 << d
+    gen = np.random.default_rng(d)
+    for _ in range(4):
+        # an edge along the lowest and one along the highest coordinate,
+        # plus random members, at most n/4 in all (the sparse path)
+        a, b = (int(x) for x in gen.integers(0, n, size=2))
+        planted = [a, a ^ 1, b, b ^ (1 << (d - 1))]
+        extra = gen.integers(0, n, size=int(gen.integers(0, n // 4 - 3)))
+        members = np.unique(np.concatenate([planted, extra]))
+        lab = label_members(Hypercube(d), gen.permutation(members))
+        _assert_same_labeling(lab, oracles.label_by_searchsorted(d, members))
+
+
 @pytest.mark.parametrize("p", [0.2, 0.35, 0.6, 0.9])
 def test_dense_and_sparse_backends_agree(p):
     # p >= 0.35 at d=8 pushes past the m > n/4 switch to the dense path
@@ -239,6 +282,16 @@ def test_canonical_labeling_renumbers_arbitrary_ids():
     assert lab.sizes.tolist() == [3, 1]
     with pytest.raises(InputDomainError):
         canonical_labeling(vertices, raw[:2])
+    # ids already in first-occurrence order pass through; the others,
+    # including a negative id below the running maximum, are renumbered
+    for raw, want in (
+        ([0, 0, 1, 0], [0, 0, 1, 0]),
+        ([0, 1, 2, 3], [0, 1, 2, 3]),
+        ([0, -1, 0, 1], [0, 1, 0, 2]),
+        ([0, 2, 1, 2], [0, 1, 2, 1]),
+        ([1, 1, 0, 1], [0, 0, 1, 0]),
+    ):
+        assert canonical_labeling(vertices, np.array(raw)).labels.tolist() == want
 
 
 def test_members_equal_label_scan_on_random_labelings():
@@ -311,6 +364,14 @@ def test_dfs_on_cycle():
     retained = [v for v in range(12) if rng.coin(3, v, t)]
     assert lazy.vertices.tolist() == retained
     assert trace.bit_sequence_length == 12
+
+
+def test_dfs_refuses_above_its_cap(monkeypatch):
+    monkeypatch.setattr(percolation, "_DFS_MAX_N", 1 << 5)
+    lab, _ = dfs_explore(Hypercube(5), 0.5, 1)
+    assert np.array_equal(lab.vertices, components(Hypercube(5), sample_sites(5, 0.5, 1)).vertices)
+    with pytest.raises(RefusalError, match="above its cap"):
+        dfs_explore(Hypercube(6), 0.5, 1)
 
 
 def test_dfs_rejects_bad_probability():

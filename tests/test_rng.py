@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from cubeperc.rng import (
     COIN_BITS,
     coin,
+    coin_blocks,
     coin_threshold,
     coins_array,
     derive_seed,
@@ -72,6 +73,17 @@ def test_scalar_and_vector_coins_agree(seed, key, p):
     scalar = coin(seed, key, t)
     vector = coins_array(seed, np.array([key], dtype=np.uint64), t)
     assert bool(vector[0]) == scalar
+
+
+@given(U64, st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=64))
+@settings(max_examples=50)
+def test_coin_blocks_equal_coins_array(seed, n, size):
+    # n need not be a multiple of size: the last block is then shorter
+    t = coin_threshold(0.4)
+    blocks = [(lo, coins.copy()) for lo, coins in coin_blocks(seed, n, t, size)]
+    assert [lo for lo, _ in blocks] == list(range(0, n, min(size, n)))
+    joined = np.concatenate([coins for _, coins in blocks])
+    assert np.array_equal(joined, coins_array(seed, np.arange(n, dtype=np.uint64), t))
 
 
 def test_coins_array_deterministic():
