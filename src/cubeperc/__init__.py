@@ -7,8 +7,6 @@ harness and CLI.
 """
 
 from .checkers import (
-    NeighbourhoodDiagnostic,
-    TailComparison,
     ViolationReport,
     binomial_tail,
     cherry_count,
@@ -33,7 +31,6 @@ from .cube import (
 )
 from .errors import InputDomainError, RefusalError
 from .harness import (
-    ExperimentRecord,
     TrialConfig,
     TrialFailure,
     giant_statistics,
@@ -44,15 +41,11 @@ from .harness import (
     run_trial,
     second_component_scaling,
     sweep,
-    write_census_csv,
 )
 from .harness import VERSION as __version__
 from .percolation import (
     ComponentLabeling,
-    DfsTrace,
-    Epoch,
     PercolationSample,
-    TwoRoundPlan,
     components,
     dfs_explore,
     label_members,
@@ -62,10 +55,8 @@ from .percolation import (
     union_samples,
 )
 from .sprinkling import (
-    CensusRecord,
     MergeAnalysis,
     MergeReport,
-    TmsPartition,
     c1_constant,
     c_constant,
     classify_tms,
@@ -87,10 +78,7 @@ __all__ = [
     "separate_into_subcubes",
     "build_pivot_subcubes",
     "PercolationSample",
-    "TwoRoundPlan",
     "ComponentLabeling",
-    "DfsTrace",
-    "Epoch",
     "sample_sites",
     "union_samples",
     "two_round_plan",
@@ -99,8 +87,6 @@ __all__ = [
     "dfs_explore",
     "largest_two",
     "ViolationReport",
-    "TailComparison",
-    "NeighbourhoodDiagnostic",
     "check_expansion",
     "check_sphere2_density",
     "cherry_count",
@@ -110,17 +96,14 @@ __all__ = [
     "tree_count_exact",
     "tree_count_bound",
     "check_squid",
-    "TmsPartition",
     "MergeReport",
     "MergeAnalysis",
-    "CensusRecord",
     "classify_tms",
     "c1_constant",
     "c_constant",
     "merge_analysis",
     "survival_census",
     "TrialConfig",
-    "ExperimentRecord",
     "TrialFailure",
     "run_trial",
     "sweep",
@@ -130,5 +113,4 @@ __all__ = [
     "record_to_json",
     "parse_record",
     "read_records",
-    "write_census_csv",
 ]

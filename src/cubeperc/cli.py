@@ -2,9 +2,9 @@
 
 Exit codes: 0 success; 1 checker violations under --strict; 2 usage or
 input-domain errors; 3 resource refusals. The memory budget honors the
-CUBEPERC_MEM_GB environment variable. The verification hooks
-(--plant-sphere2, --expansion-threshold-override) appear only when
-CUBEPERC_TEST_FLAGS=1, keeping the production surface honest.
+CUBEPERC_MEM_GB environment variable. Every record, JSONL or census
+CSV, leaves through one writer, and a sweep writes its records in grid
+order for any --jobs.
 """
 
 import argparse
@@ -20,10 +20,6 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 EXIT_REFUSAL = 3
-
-
-def _test_flags_enabled() -> bool:
-    return os.environ.get("CUBEPERC_TEST_FLAGS") == "1"
 
 
 def _comma_ints(text: str) -> list:
@@ -96,11 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list (default: all checkers)")
     v.add_argument("--strict", action="store_true",
                    help="exit 1 when any checker violation is found")
-    if _test_flags_enabled():
-        v.add_argument("--plant-sphere2", action="store_true",
-                       help="TEST HOOK: plant a sphere-2 violation at vertex 0")
-        v.add_argument("--expansion-threshold-override", type=float, default=None,
-                       help="TEST HOOK: replace the 300 ln n size threshold")
     v.set_defaults(func=cmd_verify)
 
     k = sub.add_parser("sprinkle", help="run the two-round pipeline and report merges")
@@ -126,35 +117,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class _RecordWriter:
-    """Single writer for records; JSONL or census CSV, file or stdout."""
+    """The one record writer: JSONL or census CSV, to a file or stdout.
+
+    Writes record objects, TrialFailure entries and the record dicts of
+    harness.read_records; the CSV header opens stdout or an empty file.
+    """
 
     def __init__(self, out_path, fmt: str):
         self.fmt = fmt
-        self.count = 0
-        if out_path is None:
-            self.fh = sys.stdout
-            self.owned = False
-            fresh = True
-        else:
-            fresh = not (os.path.exists(out_path) and os.path.getsize(out_path) > 0)
-            self.fh = open(out_path, "a", encoding="utf-8")
-            self.owned = True
-        if fmt == "csv" and fresh:
+        self.owned = out_path is not None
+        self.fh = open(out_path, "a", encoding="utf-8") if self.owned else sys.stdout
+        if fmt == "csv" and (not self.owned or os.path.getsize(out_path) == 0):
             self.fh.write(",".join(harness.CENSUS_COLUMNS) + "\n")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.fh.flush()
+        if self.owned:
+            self.fh.close()
 
     def write(self, result) -> None:
         if isinstance(result, harness.TrialFailure):
             self.fh.write(harness.failure_to_json(result) + "\n")
         elif self.fmt == "csv":
-            self.fh.write(harness.census_csv_row(result.to_dict()))
+            row = result.to_dict() if hasattr(result, "to_dict") else result
+            self.fh.write(harness.census_csv_row(row))
         else:
             self.fh.write(harness.record_to_json(result) + "\n")
-        self.count += 1
-
-    def close(self) -> None:
-        self.fh.flush()
-        if self.owned:
-            self.fh.close()
 
 
 def _violations_in(record) -> int:
@@ -184,9 +175,8 @@ def cmd_trial(args) -> int:
         seeds = [args.seed]
     else:
         seeds = [rng.derive_seed(args.seed, i) for i in range(args.trials)]
-    writer = _RecordWriter(args.out, args.format)
     violations = 0
-    try:
+    with _RecordWriter(args.out, args.format) as writer:
         for seed in seeds:
             config = TrialConfig(
                 d=args.d,
@@ -199,8 +189,6 @@ def cmd_trial(args) -> int:
             record = harness.run_trial(config)
             violations += _violations_in(record)
             writer.write(record)
-    finally:
-        writer.close()
     if args.strict and violations:
         print(f"{violations} checker violation(s) found", file=sys.stderr)
         return EXIT_VIOLATIONS
@@ -228,15 +216,12 @@ def cmd_sweep(args) -> int:
     else:
         for entry in manifest:
             print("manifest " + json.dumps(entry, sort_keys=True), file=sys.stderr)
-    writer = _RecordWriter(args.out, args.format)
     failures = 0
-    try:
+    with _RecordWriter(args.out, args.format) as writer:
         for result in harness.sweep(configs, jobs=args.jobs):
             if isinstance(result, harness.TrialFailure):
                 failures += 1
             writer.write(result)
-    finally:
-        writer.close()
     if failures:
         print(f"{failures} trial(s) failed; failure records written", file=sys.stderr)
     return EXIT_OK
@@ -249,8 +234,6 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         mode="single-round",
         checks=tuple(args.checks),
-        expansion_size_threshold=getattr(args, "expansion_threshold_override", None),
-        plant_sphere2=getattr(args, "plant_sphere2", False),
     )
     record = harness.run_trial(config)
     _print_check_summaries(record)
@@ -260,11 +243,8 @@ def cmd_verify(args) -> int:
         f"{violations} violation(s)"
     )
     if args.out is not None:
-        writer = _RecordWriter(args.out, args.format)
-        try:
+        with _RecordWriter(args.out, args.format) as writer:
             writer.write(record)
-        finally:
-            writer.close()
     if args.strict and violations:
         return EXIT_VIOLATIONS
     return EXIT_OK
@@ -301,11 +281,8 @@ def cmd_sprinkle(args) -> int:
         f"ratio={census['ratio']:.3f} components={census['component_count']}"
     )
     if args.out is not None:
-        writer = _RecordWriter(args.out, args.format)
-        try:
+        with _RecordWriter(args.out, args.format) as writer:
             writer.write(record)
-        finally:
-            writer.close()
     return EXIT_OK
 
 
@@ -333,7 +310,9 @@ def cmd_report(args) -> int:
     if not records and not failures and skipped:
         return EXIT_USAGE
     if args.format == "csv":
-        harness.write_census_csv(records, sys.stdout)
+        with _RecordWriter(None, "csv") as writer:
+            for r in records:
+                writer.write(r)
         return EXIT_OK
     groups: dict = {}
     for r in records:

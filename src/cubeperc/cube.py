@@ -122,25 +122,15 @@ def closed_neighborhood_mask(d: int, members: np.ndarray) -> np.ndarray:
 def external_neighborhood(oracle, S, within=None) -> set[int]:
     """Vertices outside S adjacent to S; intersected with `within` if given.
 
-    On Q^d the boundary is read off closed_neighborhood_mask; callers
-    that only need a count or a lookup should use that mask directly.
-    Explicit oracles take the neighbor loop.
+    A neighbor loop for small sets and explicit oracles; on Q^d, callers
+    that need a boundary count or lookup use closed_neighborhood_mask.
     """
-    if isinstance(oracle, Hypercube):
-        members = np.fromiter(S, dtype=np.int64)
-        outside = members[(members < 0) | (members >= oracle.n)]
-        if outside.size:
-            raise InputDomainError(f"label {outside[0]} out of range for d={oracle.d}")
-        mask = closed_neighborhood_mask(oracle.d, members)
-        mask[members] = False
-        result = set(np.flatnonzero(mask).tolist())
-    else:
-        S = set(S)
-        result = set()
-        for s in S:
-            for u in oracle.neighbors(s):
-                if u not in S:
-                    result.add(u)
+    S = set(S)
+    result = set()
+    for s in S:
+        for u in oracle.neighbors(s):
+            if u not in S:
+                result.add(u)
     if within is not None:
         result &= set(within)
     return result

@@ -10,18 +10,17 @@ record file diff is meaningful.
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import checkers, rng, sprinkling
-from .cube import Hypercube, closed_neighborhood_mask, sphere2
+from .cube import Hypercube, closed_neighborhood_mask
 from .cube import external_neighborhood  # noqa: F401 -- perfbench/spans.py wraps it here
 from .errors import InputDomainError, RefusalError
 from .percolation import (
-    PercolationSample,
     components,
     largest_two,
     sample_sites,
@@ -80,9 +79,9 @@ def check_memory_budget(d: int, mode: str = "single-round") -> None:
 class TrialConfig:
     """Everything that determines a trial's stochastic output.
 
-    expansion_size_threshold and plant_sphere2 are verification hooks,
-    not modeled statements; they exist so the error paths of the
-    checkers can be exercised deliberately.
+    The checkers run with their modeled thresholds; a planted sample or
+    an explicit expansion threshold goes straight to the checker API
+    (PercolationSample.from_labels, check_expansion's size_threshold).
     """
 
     d: int
@@ -91,8 +90,6 @@ class TrialConfig:
     mode: str = "single-round"
     checks: tuple = ()
     c_grid: tuple = ()
-    expansion_size_threshold: float | None = None
-    plant_sphere2: bool = False
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -200,14 +197,8 @@ class TrialFailure:
     error: str
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "d": self.d,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "mode": self.mode,
-            "error": self.error,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"schema_version": SCHEMA_VERSION, **data}
 
 
 def failure_to_json(failure: TrialFailure) -> str:
@@ -215,19 +206,6 @@ def failure_to_json(failure: TrialFailure) -> str:
 
 
 # === trial execution ===
-
-
-def _plant_sphere2_violation(cube: Hypercube, sample):
-    """Force >= 2d retained vertices into sphere2(0); test hook."""
-    ring = sorted(sphere2(cube, 0))
-    need = 2 * cube.d
-    if len(ring) < need:
-        raise InputDomainError(
-            f"cannot plant a sphere-2 violation at d={cube.d}: C(d,2) < 2d"
-        )
-    planted = PercolationSample.from_labels(cube.d, ring[:need])
-    merged = union_samples(sample, planted)
-    return PercolationSample(cube.d, sample.p, sample.seed, merged.bits)
 
 
 def _squid_inputs(cube, labeling, c_cap: float):
@@ -256,8 +234,6 @@ def run_trial(config: TrialConfig) -> ExperimentRecord:
 
     if config.mode == "single-round":
         sample = sample_sites(config.d, p, config.seed)
-        if config.plant_sphere2:
-            sample = _plant_sphere2_violation(cube, sample)
         labeling = components(cube, sample)
     else:
         plan = two_round_plan(config.epsilon, config.d)
@@ -278,18 +254,12 @@ def run_trial(config: TrialConfig) -> ExperimentRecord:
             merge_summary["rate_table"] = analysis.rate_table(config.c_grid, config.d)
 
     if "expansion" in config.checks:
-        threshold = (
-            checkers.expansion_size_threshold(n)
-            if config.expansion_size_threshold is None
-            else float(config.expansion_size_threshold)
-        )
+        threshold = checkers.expansion_size_threshold(n)
         reports = checkers.check_expansion(
             cube, labeling, config.epsilon, size_threshold=threshold
         )
         summary = checkers.expansion_summary(labeling, threshold, reports)
         summary["witnesses"] = [r.to_dict() for r in reports]
-        if config.expansion_size_threshold is not None:
-            summary["size_threshold_overridden"] = True
         summaries["expansion"] = summary
     if "sphere2" in config.checks:
         reports = checkers.check_sphere2_density(cube, sample)
@@ -391,15 +361,27 @@ def _jobs_within_budget(configs) -> int:
     return max(1, int(budget // max(admitted))) if admitted else 1
 
 
+def _attempt(config: TrialConfig):
+    """run_trial(config), or a TrialFailure carrying what it raised.
+
+    run_trial is looked up in this module at call time, so a wrapper
+    installed on harness.run_trial sees every inline or threaded trial.
+    """
+    try:
+        return run_trial(config)
+    except Exception as exc:
+        return TrialFailure(config.d, config.epsilon, config.seed, config.mode, str(exc))
+
+
 def sweep(configs, jobs: int = 1):
-    """Yield one result per config in completion order.
+    """Yield one result per config, in the order of configs.
 
     Failures come back as TrialFailure entries; the sweep never aborts
-    on a single bad trial. jobs=1 runs inline (deterministic order);
-    more jobs use a process pool, falling back to threads where
-    processes are unavailable. Every worker holds a trial's working
-    set at once, so jobs is clamped to what the memory budget admits
-    for the largest trial in the grid.
+    on a single bad trial. jobs=1 runs inline; more jobs use a process
+    pool, falling back to threads where processes are unavailable.
+    Every worker holds a trial's working set at once, so jobs is
+    clamped to what the memory budget admits for the largest trial in
+    the grid.
     """
     configs = list(configs)
     if jobs < 1:
@@ -408,19 +390,15 @@ def sweep(configs, jobs: int = 1):
         jobs = min(jobs, _jobs_within_budget(configs))
     if jobs == 1 or len(configs) <= 1:
         for cfg in configs:
-            try:
-                yield run_trial(cfg)
-            except Exception as exc:
-                yield TrialFailure(cfg.d, cfg.epsilon, cfg.seed, cfg.mode, str(exc))
+            yield _attempt(cfg)
         return
     try:
         executor = ProcessPoolExecutor(max_workers=jobs)
     except (OSError, ValueError):
         executor = ThreadPoolExecutor(max_workers=jobs)
     with executor:
-        futures = {executor.submit(run_trial, cfg): cfg for cfg in configs}
-        for fut in as_completed(futures):
-            cfg = futures[fut]
+        futures = [executor.submit(_attempt, cfg) for cfg in configs]
+        for cfg, fut in zip(configs, futures):
             try:
                 yield fut.result()
             except BrokenProcessPool:  # a dead worker fails every pending trial
@@ -428,7 +406,7 @@ def sweep(configs, jobs: int = 1):
                 yield TrialFailure(cfg.d, cfg.epsilon, cfg.seed, cfg.mode, (
                     f"a worker process died (BrokenProcessPool); the trial's modelled working"
                     f" set is {need:.3g} GiB of a {memory_budget_gb():.3g} GiB budget"))
-            except Exception as exc:
+            except Exception as exc:  # the pool could not run or return the trial
                 yield TrialFailure(cfg.d, cfg.epsilon, cfg.seed, cfg.mode, str(exc))
 
 
@@ -546,11 +524,3 @@ def census_csv_row(r: dict) -> str:
     ratio = r["second"] / r["d"]
     return f'{r["d"]},{r["epsilon"]!r},{r["seed"]},{r["giant"]},{r["second"]},{ratio!r}\n'
 
-
-def write_census_csv(records, fh) -> int:
-    """Write the census table; returns the number of rows written."""
-    fh.write(",".join(CENSUS_COLUMNS) + "\n")
-    rows = _as_dicts(records)
-    for r in rows:
-        fh.write(census_csv_row(r))
-    return len(rows)

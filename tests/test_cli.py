@@ -96,19 +96,26 @@ def test_verify_reports_structural_findings(capsys):
     assert total == reported
 
 
-def test_verify_planted_violation_strict(monkeypatch, capsys):
-    monkeypatch.setenv("CUBEPERC_TEST_FLAGS", "1")
+def test_verify_planted_violation_strict(capsys):
+    # no planted input: at d=8, eps=0.25 the giant is thin, and seed 3
+    # leaves small components starved of neighbours in its neighbourhood
     code = run(["verify", "--d", "8", "--epsilon", "0.25", "--seed", "3",
-                "--checks", "sphere2", "--plant-sphere2", "--strict"])
+                "--checks", "squid", "--strict"])
     assert code == EXIT_VIOLATIONS
     out = capsys.readouterr().out
     assert "violation:" in out
 
 
 def test_verify_hooks_hidden_without_env(monkeypatch, capsys):
-    monkeypatch.delenv("CUBEPERC_TEST_FLAGS", raising=False)
-    code = run(["verify", "--d", "8", "--epsilon", "0.25", "--plant-sphere2"])
-    assert code == EXIT_USAGE
+    # the removed test hooks are not options, whatever the environment
+    for env in (None, "1"):
+        if env is None:
+            monkeypatch.delenv("CUBEPERC_TEST_FLAGS", raising=False)
+        else:
+            monkeypatch.setenv("CUBEPERC_TEST_FLAGS", env)
+        for hook in (["--plant-sphere2"], ["--expansion-threshold-override", "2"]):
+            code = run(["verify", "--d", "8", "--epsilon", "0.25"] + hook)
+            assert code == EXIT_USAGE
 
 
 def test_verify_writes_record(tmp_path, capsys):
