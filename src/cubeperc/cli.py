@@ -198,6 +198,8 @@ def cmd_trial(args) -> int:
 def cmd_sweep(args) -> int:
     if args.trials < 1:
         raise InputDomainError(f"--trials must be >= 1, got {args.trials}")
+    if args.jobs < 1:
+        raise InputDomainError(f"--jobs must be >= 1, got {args.jobs}")
     configs, manifest = harness.make_grid(
         args.d,
         args.epsilon,

@@ -8,7 +8,8 @@ Component labeling over the implicit hypercube has two interchangeable
 backends behind one canonical output:
 
 * sparse path (the common supercritical case): works on the packed
-  sample as uint64 words. The edges along coordinate i are the set bits
+  sample as uint64 words (the "packed vertex sets" helpers below, which
+  sprinkling shares: words, pack, unpack, flip, ranker, set_bits). The edges along coordinate i are the set bits
   of w & (w >> 2^i) within a word for i < 6, and of the AND of word
   pairs 2^(i-6) apart for i >= 6. A retained vertex's index among the
   members is its rank: the popcount of all earlier words plus that of
@@ -285,14 +286,72 @@ def _canonical_from_raw(vertices: np.ndarray, raw: np.ndarray) -> ComponentLabel
     return ComponentLabeling(vertices, labels, sizes)
 
 
-def _set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(j, bit) for every set bit of every words[j], bit as a one-bit word.
+# === packed vertex sets ===
+# A vertex set of Q^d packs into uint64 words: vertex v is bit v & 63 of
+# word v >> 6. Below d = 6 the set is one word whose bits past n are 0.
+
+
+def words(bits: np.ndarray, d: int) -> np.ndarray:
+    """The uint64 words of a packed set (ceil(n/8) bytes, little bit
+    order, as PercolationSample.bits): a view for d >= 6, else one fresh
+    word with the padding bits past n cleared."""
+    if d < 6:
+        word = int.from_bytes(bits.tobytes(), "little") & ((1 << (1 << d)) - 1)
+        return np.array([word], dtype=np.uint64)
+    return bits.view("<u8")
+
+
+def pack(vertices: np.ndarray, d: int) -> np.ndarray:
+    """The words of the set of `vertices` (any order, repeats allowed;
+    each in [0, 2^d))."""
+    vertices = np.asarray(vertices, dtype=np.int64)
+    out = np.zeros(max(1, (1 << d) >> 6), dtype=np.uint64)
+    np.bitwise_or.at(out, vertices >> 6, _ONE << (vertices & 63).astype(np.uint64))
+    return out
+
+
+def unpack(w: np.ndarray, d: int) -> np.ndarray:
+    """The set as a length-2^d bool mask."""
+    return np.unpackbits(w.view(np.uint8), count=1 << d, bitorder="little").view(bool)
+
+
+def flip(w: np.ndarray, i: int) -> np.ndarray:
+    """The set moved along coordinate i, {v ^ 2^i : v in w}, as fresh words."""
+    if i < 6:
+        shift = np.uint64(1 << i)
+        return ((w >> shift) & _LOW[i]) | ((w & _LOW[i]) << shift)
+    half = 1 << (i - 6)
+    return np.ascontiguousarray(w.reshape(-1, 2, half)[:, ::-1]).reshape(-1)
+
+
+def ranker(w: np.ndarray):
+    """(rank, size) of the set w. rank(j, bit) is the index, among the
+    members in increasing order, of the vertex at word j and one-bit word
+    `bit`: the popcount of the words before j plus that of w[j] below bit."""
+    counts = np.bitwise_count(w)
+    ends = np.cumsum(counts, dtype=np.int64)
+    # int32 ranks: a set has fewer than 2^31 members up to d = 30, past the harness's d <= 26
+    start = (ends - counts).astype(np.int32)
+
+    def rank(j, bit):
+        return start[j] + np.bitwise_count(w[j] & (bit - _ONE))
+
+    return rank, int(ends[-1])
+
+
+def vertex_of(j: np.ndarray, bit: np.ndarray) -> np.ndarray:
+    """The vertex at word j and one-bit word `bit`, as int64."""
+    return (j << 6) | np.bitwise_count(bit - _ONE)
+
+
+def set_bits(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(j, bit) for every set bit of every w[j], bit as a one-bit word.
 
     Each round peels the lowest set bit off the words still nonzero, so
     there are as many rounds as the largest popcount.
     """
-    j = np.flatnonzero(words)
-    rest = words[j]
+    j = np.flatnonzero(w)
+    rest = w[j]
     js, lows = [], []
     while len(j):
         cleared = rest & (rest - _ONE)
@@ -305,45 +364,29 @@ def _set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(js + [j]), np.concatenate(lows + [rest])
 
 
-def _label_packed(d: int, bits: np.ndarray) -> ComponentLabeling:
-    """Label components of Q^d induced on the set bits of `bits`
-    (ceil(n/8) bytes, little bit order, as PercolationSample.bits)."""
+def label_packed(d: int, w: np.ndarray) -> ComponentLabeling:
+    """Label components of Q^d induced on the set w (see words)."""
     n = 1 << d
-    if d < 6:
-        # one word, with any padding bits past n cleared
-        word = int.from_bytes(bits.tobytes(), "little") & ((1 << n) - 1)
-        words = np.array([word], dtype=np.uint64)
-    else:
-        words = bits.view("<u8")
-    counts = np.bitwise_count(words)
-    ends = np.cumsum(counts, dtype=np.int64)
-    m = int(ends[-1])
+    rank, m = ranker(w)
     if m == 0:
         return ComponentLabeling(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64))
     # dense stays O(n) words: d=20 peaks 15/47/75 vs sparse 51/236/701 B/vertex at p=.3/.6/1
     if m > n // 4:
-        return _label_dense(d, np.unpackbits(bits, count=n, bitorder="little").view(bool))
-    # ranks are int32: m <= n/4 < 2^31 up to d = 32, past the harness's d <= 26
-    start = (ends - counts).astype(np.int32)
-
-    def rank(j, bit):
-        """Index among the members of the vertex at word j, bit."""
-        return start[j] + np.bitwise_count(words[j] & (bit - _ONE))
-
-    j, bit = _set_bits(words)
+        return _label_dense(d, unpack(w, d))
+    j, bit = set_bits(w)
     vertices = np.empty(m, dtype=np.int64)
-    vertices[rank(j, bit)] = (j << 6) | np.bitwise_count(bit - _ONE)
+    vertices[rank(j, bit)] = vertex_of(j, bit)
     lower, upper = [], []
     for i in range(d):
         if i < 6:
             shift = np.uint64(1 << i)
-            j, bit = _set_bits(words & (words >> shift) & _LOW[i])
+            j, bit = set_bits(w & (w >> shift) & _LOW[i])
             lower.append(rank(j, bit))
             upper.append(rank(j, bit << shift))
         else:
             half = 1 << (i - 6)
-            pairs = words.reshape(-1, 2, half)
-            f, bit = _set_bits((pairs[:, 0] & pairs[:, 1]).ravel())
+            pairs = w.reshape(-1, 2, half)
+            f, bit = set_bits((pairs[:, 0] & pairs[:, 1]).ravel())
             j = f + (f // half) * half
             lower.append(rank(j, bit))
             upper.append(rank(j + half, bit))
@@ -413,10 +456,10 @@ def _label_members_generic(oracle, members: np.ndarray) -> ComponentLabeling:
 def label_members(oracle, members: np.ndarray) -> ComponentLabeling:
     """Components of the subgraph induced on an explicit member set."""
     members = np.asarray(members, dtype=np.int64)
+    if members.size and (members.min() < 0 or members.max() >= oracle.n):
+        raise InputDomainError(f"member out of range [0, {oracle.n})")
     if isinstance(oracle, Hypercube):
-        mask = np.zeros(oracle.n, dtype=bool)
-        mask[members] = True
-        return _label_packed(oracle.d, np.packbits(mask, bitorder="little"))
+        return label_packed(oracle.d, pack(members, oracle.d))
     return _label_members_generic(oracle, np.sort(members))
 
 
@@ -431,7 +474,7 @@ def components(oracle, sample: PercolationSample) -> ComponentLabeling:
             f"sample covers {sample.n} vertices, oracle has {oracle.n}"
         )
     if isinstance(oracle, Hypercube):
-        return _label_packed(oracle.d, sample.bits)
+        return label_packed(oracle.d, words(sample.bits, oracle.d))
     return _label_members_generic(oracle, sample.retained_labels())
 
 

@@ -14,22 +14,43 @@ adjacent to L1' would belong to L1'), and no retained vertex of S u M is
 adjacent to L1' (such a vertex would be in N(L1') and hence in T). So
 the stage-one state is exactly {B's} + {L1'}, and every second-round T
 vertex that is not in L1' touches L1' directly when revealed.
+
+T and M are packed uint64 words, one bit per vertex, like the sample
+(see percolation.words). T is L1' OR its d flips, one per coordinate.
+M needs each vertex's count of T-neighbours, which is kept bit-sliced:
+plane b is a word array holding bit b of every vertex's count, so
+d.bit_length() planes hold any count up to d. Each flip of T is added
+into the planes with a ripple carry, and "count >= ceil(threshold)" is
+read from the planes top down. No per-vertex byte array is built. The
+merge scan works on the same words: the candidates are labeled straight
+from (R1 | R2) & ~T, and the members of S u M whose neighbour along
+coordinate i is in T are the set bits of that set AND flip(T, i), each
+indexed into the stage labels by its rank.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .cube import Hypercube, closed_neighborhood_mask, xor_shift
+from .cube import Hypercube
 from .errors import InputDomainError, RefusalError
 from .percolation import (
     ComponentLabeling,
     PercolationSample,
     components,
-    label_members,
+    flip,
+    label_members,  # noqa: F401 -- perfbench/spans.py wraps it here
+    label_packed,
     largest_two,
+    pack,
+    ranker,
+    set_bits,
     union_samples,
+    unpack,
+    vertex_of,
+    words,
 )
 
 # === T/M/S classification ===
@@ -37,7 +58,8 @@ from .percolation import (
 
 @dataclass(frozen=True)
 class TmsPartition:
-    """Disjoint cover of V(Q^d) by T, M, S as boolean masks.
+    """Disjoint cover of V(Q^d) by T, M, S, with T and M as packed words
+    (see percolation.words); the bool masks are built on each read.
 
     l1_members caches the first-round giant (the seed block of T);
     ambiguous_giant flags trials whose second component exceeds half the
@@ -47,14 +69,22 @@ class TmsPartition:
     d: int
     epsilon: float
     threshold: float
-    t_mask: np.ndarray
-    m_mask: np.ndarray
+    t_words: np.ndarray
+    m_words: np.ndarray
     l1_members: np.ndarray
     ambiguous_giant: bool
 
     @property
+    def t_mask(self) -> np.ndarray:
+        return unpack(self.t_words, self.d)
+
+    @property
+    def m_mask(self) -> np.ndarray:
+        return unpack(self.m_words, self.d)
+
+    @property
     def s_mask(self) -> np.ndarray:
-        return ~(self.t_mask | self.m_mask)
+        return unpack(~(self.t_words | self.m_words), self.d)
 
     @property
     def l1_size(self) -> int:
@@ -65,10 +95,33 @@ class TmsPartition:
         return int(self.l1_members[0])
 
     def sizes(self) -> dict:
-        t = int(self.t_mask.sum())
-        m = int(self.m_mask.sum())
-        n = len(self.t_mask)
-        return {"T": t, "M": m, "S": n - t - m}
+        t = int(np.bitwise_count(self.t_words).sum(dtype=np.int64))
+        m = int(np.bitwise_count(self.m_words).sum(dtype=np.int64))
+        return {"T": t, "M": m, "S": (1 << self.d) - t - m}
+
+
+def _at_least(d: int, t: np.ndarray, k: int, among: np.ndarray) -> np.ndarray:
+    """The vertices of `among` with at least k neighbours in the set t,
+    for 0 < k <= d, as words, from the bit-sliced count of the module
+    docstring. After i + 1 flips a count is at most i + 1, so each
+    addition carries only through the planes that can hold it."""
+    planes = [np.zeros_like(t) for _ in range(d.bit_length())]
+    carry = np.empty_like(t)
+    for i in range(d):
+        add = flip(t, i)
+        for plane in planes[: (i + 1).bit_length()]:
+            np.bitwise_and(plane, add, out=carry)
+            plane ^= add
+            add, carry = carry, add
+    above = np.zeros_like(t)
+    equal = among.copy()
+    for b in reversed(range(len(planes))):
+        if k >> b & 1:
+            equal &= planes[b]
+        else:
+            above |= equal & planes[b]
+            equal &= ~planes[b]
+    return above | equal
 
 
 def classify_tms(cube: Hypercube, labeling_r1: ComponentLabeling, epsilon: float) -> TmsPartition:
@@ -76,33 +129,41 @@ def classify_tms(cube: Hypercube, labeling_r1: ComponentLabeling, epsilon: float
 
     T = L1' with its external neighborhood; M = vertices outside T with
     at least eps^2*d/200 neighbors in T; S = the rest. The threshold
-    uses the caller's eps verbatim.
+    uses the caller's eps verbatim; a neighbour count is an integer, so
+    it meets the threshold iff it reaches ceil(threshold).
     """
+    if not math.isfinite(epsilon):
+        raise InputDomainError(f"epsilon must be finite, got {epsilon}")
     if labeling_r1.retained_count() == 0:
         raise RefusalError("no giant candidate: first-round sample is empty")
     d = cube.d
-    n = cube.n
     giant_id = int(labeling_r1.order_by_size[0])
-    l1 = labeling_r1.members(giant_id)
+    l1 = labeling_r1.vertices[labeling_r1.labels == giant_id]
     first, second = largest_two(labeling_r1)
-    ambiguous = second * 2 > first
 
-    t_mask = closed_neighborhood_mask(d, l1)
-
-    t8 = t_mask.astype(np.uint8)
-    counts = np.zeros(n, dtype=np.uint16)
+    l1_words = pack(l1, d)
+    t = l1_words.copy()
     for i in range(d):
-        counts += xor_shift(t8, i)
+        t |= flip(l1_words, i)
+    outside = ~t
+    if d < 6:  # clear the padding bits past n
+        outside &= np.uint64((1 << (1 << d)) - 1)
     threshold = epsilon**2 * d / 200.0
-    m_mask = (~t_mask) & (counts >= threshold)
+    k = math.ceil(threshold)
+    if k <= 0:
+        m = outside
+    elif k > d:
+        m = np.zeros_like(t)
+    else:
+        m = _at_least(d, t, k, outside)
     return TmsPartition(
         d=d,
         epsilon=epsilon,
         threshold=threshold,
-        t_mask=t_mask,
-        m_mask=m_mask,
+        t_words=t,
+        m_words=m,
         l1_members=l1,
-        ambiguous_giant=bool(ambiguous),
+        ambiguous_giant=bool(second * 2 > first),
     )
 
 
@@ -218,43 +279,54 @@ def merge_analysis(
     labeling of R1 u R2. The merge flags come from the T-neighbor scan
     and are re-verified against that independent labeling.
     """
-    if cube.n != len(partition.t_mask):
+    d = cube.d
+    if partition.d != d:
         raise InputDomainError("partition does not match the cube")
-    if r1.d != cube.d or r2.d != cube.d:
+    if r1.d != d or r2.d != d:
         raise InputDomainError("sample dimension does not match the cube")
     n = cube.n
-    r1_mask = r1.as_bool()
-    t_mask = partition.t_mask
+    t, m = partition.t_words, partition.m_words
+    w1 = words(r1.bits, d)
     # the staging relies on T's first-round content being exactly L1',
     # which holds iff the partition came from this sample's labeling
-    if not np.array_equal(np.flatnonzero(t_mask & r1_mask), partition.l1_members):
+    if not np.array_equal(t & w1, pack(partition.l1_members, d)):
         raise InputDomainError("partition was not built from this first-round sample")
-    sm_members = np.flatnonzero((r1_mask | r2.as_bool()) & ~t_mask)
-    stage = label_members(cube, sm_members)
+    sm = (w1 | words(r2.bits, d)) & ~t
+    stage = label_packed(d, sm)
     k = stage.n_components
-    in_m = partition.m_mask[sm_members]
-    m_sizes = np.bincount(stage.labels[in_m], minlength=k)
+    rank, _ = ranker(sm)
+    m_sizes = np.bincount(stage.labels[rank(*set_bits(sm & m))], minlength=k)
 
     # distinct (B, T-neighbor) pairs from one sort of (B, t, "not via M")
-    # keys: within a (B, t) run a pair reached from B cap M sorts first
-    keys = []
-    for i in range(cube.d):
-        nb = sm_members ^ (1 << i)
-        keep = t_mask[nb]
-        keys.append(((stage.labels[keep] * n + nb[keep]) << 1) | ~in_m[keep])
-    key = np.sort(np.concatenate(keys))
+    # keys: within a (B, t) run a pair reached from B cap M sorts first.
+    # Row i of `near` holds the members of S u M whose neighbour along
+    # coordinate i is in T.
+    near = np.empty((d, len(sm)), dtype=np.uint64)
+    for i in range(d):
+        np.bitwise_and(sm, flip(t, i), out=near[i])
+    f, bit = set_bits(near.ravel())
+    # len(sm) is a power of two, so row and word come from shifts
+    i, j = f >> (len(sm).bit_length() - 1), f & (len(sm) - 1)
+    del near, f
+    nb = vertex_of(j, bit) ^ (1 << i)
+    key = (((stage.labels[rank(j, bit)] << d) | nb) << 1) | ((m[j] & bit) == 0)
+    del i, j, bit, nb
+    key.sort()
     pair = key >> 1
     first = np.ones(len(key), dtype=bool)
     np.not_equal(pair[1:], pair[:-1], out=first[1:])
-    comp, t = np.divmod(pair[first], n)
+    pair = pair[first]
+    comp = pair >> d
     nt_sizes = np.bincount(comp, minlength=k)
     nt_m_sizes = np.bincount(comp[(key[first] & 1) == 0], minlength=k)
     merged = np.zeros(k, dtype=bool)
-    merged[comp[r2.contains_many(t)]] = True
+    merged[comp[r2.contains_many(pair & (n - 1))]] = True
 
     final = components(cube, union_samples(r1, r2))
-    grouped, offsets = stage.member_groups()
-    min_vertices = grouped[offsets[:-1]]
+    # canonical ids number components by first occurrence, so the running
+    # maximum of the labels steps up exactly at each component's minimum
+    starts = np.flatnonzero(np.diff(np.maximum.accumulate(stage.labels), prepend=-1))
+    min_vertices = stage.vertices[starts]
     f_labels = final.labels[np.searchsorted(final.vertices, min_vertices)]
     f_sizes = final.sizes[f_labels]
     l1 = partition.l1_members

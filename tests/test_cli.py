@@ -164,6 +164,15 @@ def test_sweep_parallel_jobs(tmp_path):
     assert {r["d"] for r in records} == {5, 6}
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_bad_jobs_writes_nothing(tmp_path, jobs):
+    out = tmp_path / "f"
+    code = run(["sweep", "--d", "8", "--epsilon", "0.5", "--jobs", jobs, "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert not out.exists()
+    assert not (tmp_path / "f.manifest.jsonl").exists()
+
+
 # --- trees ---
 
 

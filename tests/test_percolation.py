@@ -185,6 +185,19 @@ def test_label_members_matches_searchsorted_reference(d):
         _assert_same_labeling(lab, oracles.label_by_searchsorted(d, members))
 
 
+@pytest.mark.parametrize("bad", [-1, 64])
+@pytest.mark.parametrize("oracle", [Hypercube(6), Cycle(64)], ids=["cube", "cycle"])
+def test_label_members_rejects_members_out_of_range(oracle, bad):
+    # a negative member must not wrap around to vertex n - 1
+    with pytest.raises(InputDomainError):
+        label_members(oracle, [0, bad])
+
+
+def test_label_members_ignores_order_and_repeats():
+    lab = label_members(Hypercube(4), [3, 1, 3, 8, 1])
+    _assert_same_labeling(lab, oracles.label_by_searchsorted(4, np.array([1, 3, 8])))
+
+
 @pytest.mark.parametrize("p", [0.2, 0.35, 0.6, 0.9])
 def test_dense_and_sparse_backends_agree(p):
     # p >= 0.35 at d=8 pushes past the m > n/4 switch to the dense path

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -49,11 +50,27 @@ def test_classify_refuses_empty_round():
         _partition_for(q, sample_sites(6, 0.0, 1), 0.3)
 
 
-def test_classify_matches_per_vertex_recount():
-    d = 7
+def _eps_with_threshold_ceiling(d, k):
+    """An eps whose threshold eps^2*d/200 has ceiling k ("above-d": d + 1).
+
+    eps = 0 gives threshold 0 and eps = 0.4 a ceiling of 1 for every
+    d < 1250; the others solve eps^2*d/200 = k - 1/2.
+    """
+    if k == 0:
+        return 0.0
+    if k == 1:
+        return 0.4
+    target = d + 0.5 if k == "above-d" else k - 0.5
+    return (200 * target / d) ** 0.5
+
+
+# d = 2..5 keep the cube in one packed word with padding bits past n
+@pytest.mark.parametrize("k", [0, 1, 2, 3, "above-d"])
+@pytest.mark.parametrize("d", range(2, 10))
+def test_classify_matches_per_vertex_recount(d, k):
     q = Hypercube(d)
     r1 = sample_sites(d, 0.25, 17)
-    eps = 0.4
+    eps = _eps_with_threshold_ceiling(d, k)
     part = _partition_for(q, r1, eps)
     lab = components(q, r1)
     giant = int(lab.order_by_size[0])
@@ -62,13 +79,33 @@ def test_classify_matches_per_vertex_recount():
     for v in l1:
         t_expected.update(q.neighbors(v))
     threshold = eps**2 * d / 200.0
+    assert math.ceil(threshold) == (d + 1 if k == "above-d" else k)
     for v in range(q.n):
         in_t = v in t_expected
         assert bool(part.t_mask[v]) == in_t
         if not in_t:
             t_neighbors = sum(1 for u in q.neighbors(v) if u in t_expected)
             assert bool(part.m_mask[v]) == (t_neighbors >= threshold)
+        else:
+            assert not part.m_mask[v]
     assert part.threshold == pytest.approx(threshold)
+    sizes = part.sizes()
+    assert sizes == {
+        "T": len(t_expected),
+        "M": int(part.m_mask.sum()),
+        "S": q.n - len(t_expected) - int(part.m_mask.sum()),
+    }
+    if k == 0:  # eps = 0: threshold 0, so M is everything outside T
+        assert sizes["S"] == 0
+    if k == "above-d":  # no vertex has more than d neighbours
+        assert sizes["M"] == 0
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_classify_rejects_non_finite_epsilon(eps):
+    q = Hypercube(6)
+    with pytest.raises(InputDomainError):
+        _partition_for(q, sample_sites(6, 0.3, 1), eps)
 
 
 def test_classify_masks_partition_the_cube():
@@ -190,7 +227,8 @@ def test_merge_reports_match_bruteforce():
     # all of N(T) and |N_T(B cap M)| = |N_T(B)|; classifying with
     # eps = sqrt(500/d) (threshold 2.5) makes M a proper part of N(T)
     seen = {"merged": 0, "unmerged": 0, "m_size": 0, "nt_m_below_nt": 0}
-    for d in range(5, 11):
+    # d = 2..4 run on one packed word with padding bits past n
+    for d in range(2, 11):
         for eps in (0.1, 0.5, 0.9):
             for seed in (1, 2):
                 q = Hypercube(d)
