@@ -19,7 +19,6 @@ from .checkers import (
     tree_count_exact,
 )
 from .cube import (
-    Cycle,
     Hypercube,
     Subcube,
     build_pivot_subcubes,
@@ -69,7 +68,6 @@ __all__ = [
     "InputDomainError",
     "RefusalError",
     "Hypercube",
-    "Cycle",
     "Subcube",
     "hamming_distance",
     "sphere2",

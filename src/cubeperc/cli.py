@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success; 1 checker violations under --strict; 2 usage or
-input-domain errors; 3 resource refusals. The memory budget honors the
+Exit codes: 0 success; 1 checker violations under --strict; 2 usage,
+input-domain or file errors; 3 resource refusals. The memory budget honors the
 CUBEPERC_MEM_GB environment variable. Every record, JSONL or census
 CSV, leaves through one writer, and a sweep writes its records in grid
 order for any --jobs.
@@ -352,7 +352,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except InputDomainError as exc:
+    except (InputDomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RefusalError as exc:

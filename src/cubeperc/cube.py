@@ -1,4 +1,4 @@
-"""Implicit hypercube Q^d, subcube algebra, and tiny explicit oracles.
+"""Implicit hypercube Q^d, its elementary geometry, and subcube algebra.
 
 Vertices are integer labels; coordinate i is bit i of the label. Q^d is
 never materialized: adjacency is "XOR with a power of two", so every
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputDomainError
 
-# === graph oracles ===
+# === the hypercube ===
 
 
 class Hypercube:
@@ -43,32 +43,6 @@ class Hypercube:
 
     def __repr__(self):
         return f"Hypercube(d={self.d})"
-
-
-class Cycle:
-    """Explicit cycle on m vertices; the 2-regular cross-check oracle."""
-
-    def __init__(self, m: int):
-        if m < 3:
-            raise InputDomainError(f"cycle needs >= 3 vertices, got {m}")
-        self.n = int(m)
-        self.d = 2
-
-    @property
-    def degree(self) -> int:
-        return 2
-
-    def check_vertex(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise InputDomainError(f"label {v} out of range for cycle of {self.n}")
-        return v
-
-    def neighbors(self, v: int) -> list[int]:
-        self.check_vertex(v)
-        return sorted(((v - 1) % self.n, (v + 1) % self.n))
-
-    def __repr__(self):
-        return f"Cycle(n={self.n})"
 
 
 # === elementary geometry ===
@@ -104,26 +78,11 @@ def common_neighbors(cube: Hypercube, u: int, v: int) -> int:
     return sum(1 for w in cube.neighbors(u) if hamming_distance(w, v) == 1)
 
 
-def closed_neighborhood_mask(d: int, members: np.ndarray) -> np.ndarray:
-    """Length-2^d bool mask of `members` together with every neighbor.
-
-    O(|members| * d) scatters into one O(n)-byte array; the external
-    neighborhood is this mask with `members` cleared, and its size is
-    mask.sum() - len(members) for distinct members.
-    """
-    members = np.asarray(members, dtype=np.int64)
-    mask = np.zeros(1 << d, dtype=bool)
-    mask[members] = True
-    for i in range(d):
-        mask[members ^ (1 << i)] = True
-    return mask
-
-
 def external_neighborhood(oracle, S, within=None) -> set[int]:
     """Vertices outside S adjacent to S; intersected with `within` if given.
 
-    A neighbor loop for small sets and explicit oracles; on Q^d, callers
-    that need a boundary count or lookup use closed_neighborhood_mask.
+    A neighbor loop for small sets; callers that need a boundary count or
+    lookup on Q^d use bitset.closed_neighbourhood.
     """
     S = set(S)
     result = set()

@@ -17,7 +17,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import checkers, rng, sprinkling
-from .cube import Hypercube, closed_neighborhood_mask
+from .bitset import closed_neighbourhood, pack, unpack
+from .cube import Hypercube
 from .cube import external_neighborhood  # noqa: F401 -- perfbench/spans.py wraps it here
 from .errors import InputDomainError, RefusalError
 from .percolation import (
@@ -209,13 +210,14 @@ def failure_to_json(failure: TrialFailure) -> str:
 
 
 def _squid_inputs(cube, labeling, c_cap: float):
-    """The giant's closed-neighborhood mask, and the non-giant components
-    of at most c_cap*d vertices, largest first, as member arrays."""
+    """The giant's closed neighbourhood as a bool mask, and the non-giant
+    components of at most c_cap*d vertices, largest first, as member arrays."""
     order = labeling.order_by_size
     if len(order) == 0:
         return np.zeros(cube.n, dtype=bool), []
-    region = closed_neighborhood_mask(cube.d, labeling.members(int(order[0])))
-    chosen = order[1:][labeling.sizes[order[1:]] <= c_cap * cube.d]
+    d = cube.d
+    region = unpack(closed_neighbourhood(d, pack(labeling.members(int(order[0])), d)), d)
+    chosen = order[1:][labeling.sizes[order[1:]] <= c_cap * d]
     grouped, offsets = labeling.member_groups()
     bounds = zip(offsets[chosen].tolist(), offsets[chosen + 1].tolist())
     return region, [grouped[lo:hi] for lo, hi in bounds]

@@ -4,17 +4,16 @@ Membership is bit-packed (1 bit per vertex) and driven by the keyed
 generator in rng.py, so any vertex's coin is recomputable in isolation
 and the lazy DFS explorer sees exactly the bits the eager sampler drew.
 
-Component labeling over the implicit hypercube has two interchangeable
-backends behind one canonical output:
+Component labeling runs on Q^d only (any other oracle is refused) and
+has two interchangeable backends behind one canonical output:
 
 * sparse path (the common supercritical case): works on the packed
-  sample as uint64 words (the "packed vertex sets" helpers below, which
-  sprinkling shares: words, pack, unpack, flip, ranker, set_bits). The edges along coordinate i are the set bits
-  of w & (w >> 2^i) within a word for i < 6, and of the AND of word
-  pairs 2^(i-6) apart for i >= 6. A retained vertex's index among the
-  members is its rank: the popcount of all earlier words plus that of
-  its own word below it. The int32 rank pairs go to scipy's compressed
-  sparse connected_components;
+  sample as uint64 words (see bitset). The edges along coordinate i are
+  the set bits of w & (w >> 2^i) within a word for i < 6, and of the
+  AND of word pairs 2^(i-6) apart for i >= 6. A retained vertex's index
+  among the members is its rank: the popcount of all earlier words plus
+  that of its own word below it. The int32 rank pairs go to scipy's
+  compressed sparse connected_components;
 * dense path (retained fraction above 1/4, where an edge list would
   break the O(n)-words budget): vectorized minimum-label propagation
   with pointer jumping over a single length-n label array.
@@ -31,15 +30,13 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as _sp_connected
 
 from . import rng
+from .bitset import _LOW, pack, ranker, set_bits, unpack, vertex_of, words
 from .cube import Hypercube
 from .errors import InputDomainError, RefusalError
 
 # 2^16-key blocks keep the hash's uint64 passes in L2: d=22 sampling took 57 ms
 # in 2^20-key blocks and 14 ms in these (2-vCPU VM)
 _CHUNK = 1 << 16
-_ONE = np.uint64(1)
-# _LOW[i]: the bits b of a word whose coordinate i is 0 (0x5555..., 0x3333..., ...)
-_LOW = tuple(np.uint64(sum(1 << b for b in range(64) if not b >> i & 1)) for i in range(6))
 
 # === samples ===
 
@@ -71,7 +68,7 @@ class PercolationSample:
 
     def as_bool(self) -> np.ndarray:
         """Unpacked membership as a bool array of length n."""
-        return np.unpackbits(self.bits, count=self.n, bitorder="little").astype(bool)
+        return unpack(self.bits, self.d)
 
     def retained_labels(self) -> np.ndarray:
         """Sorted int64 labels of retained vertices."""
@@ -85,13 +82,10 @@ class PercolationSample:
         to checkers and for tests.
         """
         n = 1 << d
-        mem = np.zeros(n, dtype=np.uint8)
         idx = np.asarray(list(labels), dtype=np.int64)
-        if idx.size:
-            if idx.min() < 0 or idx.max() >= n:
-                raise InputDomainError("label out of range for the given d")
-            mem[idx] = 1
-        return cls(d, p, seed, np.packbits(mem, bitorder="little"))
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            raise InputDomainError("label out of range for the given d")
+        return cls(d, p, seed, pack(idx, d).view(np.uint8)[: (n + 7) // 8])
 
 
 def sample_sites(d: int, p: float, seed: int) -> PercolationSample:
@@ -210,7 +204,8 @@ class ComponentLabeling:
         return self._order
 
     def size_of(self, cid: int) -> int:
-        return int(self.sizes[cid])
+        """len(members(cid)): 0 for an id outside [0, n_components)."""
+        return int(self.sizes[cid]) if 0 <= cid < self.n_components else 0
 
     def label_of(self, v: int):
         """Component id of a retained vertex, None if v is not retained."""
@@ -253,30 +248,21 @@ def canonical_labeling(vertices, raw_labels) -> ComponentLabeling:
     """Renumber an arbitrary equivalence labeling into canonical form.
 
     `vertices` must be sorted ascending; `raw_labels` may be any values
-    constant exactly on components. Ids come out 0..K-1 ordered by
-    increasing minimum member, matching components().
+    constant exactly on components. Ids come out 0..K-1 by order of first
+    occurrence, which is increasing minimum member, matching components().
+    scipy numbers components from their lowest node, so its ids are
+    usually in that order already; an O(m) check (start at 0, running
+    maximum steps by at most 1) lets them through without the sort.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
-    raw = np.asarray(raw_labels, dtype=np.int64)
+    raw = np.array(raw_labels, dtype=np.int64)
     if len(vertices) != len(raw):
         raise InputDomainError("vertices and raw_labels must align")
     if len(vertices) == 0:
-        return ComponentLabeling(vertices, np.empty(0, np.int64), np.empty(0, np.int64))
-    return _canonical_from_raw(vertices, raw)
-
-
-def _canonical_from_raw(vertices: np.ndarray, raw: np.ndarray) -> ComponentLabeling:
-    """Renumber raw component ids by order of first occurrence.
-
-    `vertices` is sorted ascending, so first-occurrence order equals
-    increasing minimum member. scipy numbers components from their
-    lowest node, so its ids are usually in that order already; an O(m)
-    check (start at 0, running maximum steps by at most 1) lets them
-    through without the sort.
-    """
+        return ComponentLabeling(vertices, raw, np.empty(0, np.int64))
     top = np.maximum.accumulate(raw)
     if raw[0] == 0 and raw.min() >= 0 and np.diff(top).max(initial=0) <= 1:
-        labels = raw.astype(np.int64)
+        labels = raw
     else:
         uniq, first = np.unique(raw, return_index=True)
         remap = np.empty(len(uniq), dtype=np.int64)
@@ -286,86 +272,8 @@ def _canonical_from_raw(vertices: np.ndarray, raw: np.ndarray) -> ComponentLabel
     return ComponentLabeling(vertices, labels, sizes)
 
 
-# === packed vertex sets ===
-# A vertex set of Q^d packs into uint64 words: vertex v is bit v & 63 of
-# word v >> 6. Below d = 6 the set is one word whose bits past n are 0.
-
-
-def words(bits: np.ndarray, d: int) -> np.ndarray:
-    """The uint64 words of a packed set (ceil(n/8) bytes, little bit
-    order, as PercolationSample.bits): a view for d >= 6, else one fresh
-    word with the padding bits past n cleared."""
-    if d < 6:
-        word = int.from_bytes(bits.tobytes(), "little") & ((1 << (1 << d)) - 1)
-        return np.array([word], dtype=np.uint64)
-    return bits.view("<u8")
-
-
-def pack(vertices: np.ndarray, d: int) -> np.ndarray:
-    """The words of the set of `vertices` (any order, repeats allowed;
-    each in [0, 2^d))."""
-    vertices = np.asarray(vertices, dtype=np.int64)
-    out = np.zeros(max(1, (1 << d) >> 6), dtype=np.uint64)
-    np.bitwise_or.at(out, vertices >> 6, _ONE << (vertices & 63).astype(np.uint64))
-    return out
-
-
-def unpack(w: np.ndarray, d: int) -> np.ndarray:
-    """The set as a length-2^d bool mask."""
-    return np.unpackbits(w.view(np.uint8), count=1 << d, bitorder="little").view(bool)
-
-
-def flip(w: np.ndarray, i: int) -> np.ndarray:
-    """The set moved along coordinate i, {v ^ 2^i : v in w}, as fresh words."""
-    if i < 6:
-        shift = np.uint64(1 << i)
-        return ((w >> shift) & _LOW[i]) | ((w & _LOW[i]) << shift)
-    half = 1 << (i - 6)
-    return np.ascontiguousarray(w.reshape(-1, 2, half)[:, ::-1]).reshape(-1)
-
-
-def ranker(w: np.ndarray):
-    """(rank, size) of the set w. rank(j, bit) is the index, among the
-    members in increasing order, of the vertex at word j and one-bit word
-    `bit`: the popcount of the words before j plus that of w[j] below bit."""
-    counts = np.bitwise_count(w)
-    ends = np.cumsum(counts, dtype=np.int64)
-    # int32 ranks: a set has fewer than 2^31 members up to d = 30, past the harness's d <= 26
-    start = (ends - counts).astype(np.int32)
-
-    def rank(j, bit):
-        return start[j] + np.bitwise_count(w[j] & (bit - _ONE))
-
-    return rank, int(ends[-1])
-
-
-def vertex_of(j: np.ndarray, bit: np.ndarray) -> np.ndarray:
-    """The vertex at word j and one-bit word `bit`, as int64."""
-    return (j << 6) | np.bitwise_count(bit - _ONE)
-
-
-def set_bits(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(j, bit) for every set bit of every w[j], bit as a one-bit word.
-
-    Each round peels the lowest set bit off the words still nonzero, so
-    there are as many rounds as the largest popcount.
-    """
-    j = np.flatnonzero(w)
-    rest = w[j]
-    js, lows = [], []
-    while len(j):
-        cleared = rest & (rest - _ONE)
-        js.append(j)
-        lows.append(rest ^ cleared)
-        keep = cleared != 0
-        j = j[keep]
-        rest = cleared[keep]
-    # j and rest are empty here; they stand in when no word was nonzero
-    return np.concatenate(js + [j]), np.concatenate(lows + [rest])
-
-
 def label_packed(d: int, w: np.ndarray) -> ComponentLabeling:
-    """Label components of Q^d induced on the set w (see words)."""
+    """Label components of Q^d induced on the packed set w (see bitset)."""
     n = 1 << d
     rank, m = ranker(w)
     if m == 0:
@@ -395,7 +303,7 @@ def label_packed(d: int, w: np.ndarray) -> ComponentLabeling:
     del lower, upper
     graph = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(m, m))
     _, raw = _sp_connected(graph, directed=False)
-    return _canonical_from_raw(vertices, raw)
+    return canonical_labeling(vertices, raw)
 
 
 def _label_dense(d: int, member_mask: np.ndarray) -> ComponentLabeling:
@@ -427,40 +335,22 @@ def _label_dense(d: int, member_mask: np.ndarray) -> ComponentLabeling:
         if np.array_equal(before, after):
             break
     raw = label[members_idx]
-    return _canonical_from_raw(members_idx.astype(np.int64), raw)
+    return canonical_labeling(members_idx, raw)
 
 
-def _label_members_generic(oracle, members: np.ndarray) -> ComponentLabeling:
-    """Edge loop for explicit oracles (small graphs only)."""
-    member_set = set(int(v) for v in members)
-    index = {int(v): i for i, v in enumerate(members)}
-    rows = []
-    cols = []
-    for v in members:
-        v = int(v)
-        for u in oracle.neighbors(v):
-            if u in member_set and u > v:
-                rows.append(index[v])
-                cols.append(index[u])
-    m = len(members)
-    if m == 0:
-        return ComponentLabeling(members, np.empty(0, np.int64), np.empty(0, np.int64))
-    if rows:
-        graph = coo_matrix((np.ones(len(rows), np.int8), (rows, cols)), shape=(m, m))
-        _, raw = _sp_connected(graph, directed=False)
-    else:
-        raw = np.arange(m, dtype=np.int64)
-    return _canonical_from_raw(members, raw.astype(np.int64))
+def _require_hypercube(oracle) -> None:
+    if not isinstance(oracle, Hypercube):
+        raise InputDomainError(f"component labeling runs on Q^d only, got {oracle!r}")
 
 
 def label_members(oracle, members: np.ndarray) -> ComponentLabeling:
-    """Components of the subgraph induced on an explicit member set."""
+    """Components of Q^d induced on an explicit member set (any order,
+    repeats allowed)."""
+    _require_hypercube(oracle)
     members = np.asarray(members, dtype=np.int64)
     if members.size and (members.min() < 0 or members.max() >= oracle.n):
         raise InputDomainError(f"member out of range [0, {oracle.n})")
-    if isinstance(oracle, Hypercube):
-        return label_packed(oracle.d, pack(members, oracle.d))
-    return _label_members_generic(oracle, np.sort(members))
+    return label_packed(oracle.d, pack(members, oracle.d))
 
 
 def components(oracle, sample: PercolationSample) -> ComponentLabeling:
@@ -469,13 +359,12 @@ def components(oracle, sample: PercolationSample) -> ComponentLabeling:
     Deterministic for a given sample; peak memory O(n) words on either
     backend (see module docstring for the sparse/dense switch).
     """
+    _require_hypercube(oracle)
     if oracle.n != sample.n:
         raise InputDomainError(
             f"sample covers {sample.n} vertices, oracle has {oracle.n}"
         )
-    if isinstance(oracle, Hypercube):
-        return label_packed(oracle.d, words(sample.bits, oracle.d))
-    return _label_members_generic(oracle, sample.retained_labels())
+    return label_packed(oracle.d, words(sample.bits, oracle.d))
 
 
 # === DFS exposure ===

@@ -16,13 +16,10 @@ the stage-one state is exactly {B's} + {L1'}, and every second-round T
 vertex that is not in L1' touches L1' directly when revealed.
 
 T and M are packed uint64 words, one bit per vertex, like the sample
-(see percolation.words). T is L1' OR its d flips, one per coordinate.
-M needs each vertex's count of T-neighbours, which is kept bit-sliced:
-plane b is a word array holding bit b of every vertex's count, so
-d.bit_length() planes hold any count up to d. Each flip of T is added
-into the planes with a ripple carry, and "count >= ceil(threshold)" is
-read from the planes top down. No per-vertex byte array is built. The
-merge scan works on the same words: the candidates are labeled straight
+(see bitset). T is the closed neighbourhood of L1', and M is
+bitset.at_least over the outside of T, read from a bit-sliced count of
+T-neighbours; no per-vertex byte array is built. The merge scan works
+on the same words: the candidates are labeled straight
 from (R1 | R2) & ~T, and the members of S u M whose neighbour along
 coordinate i is in T are the set bits of that set AND flip(T, i), each
 indexed into the stage labels by its rank.
@@ -34,23 +31,17 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .bitset import at_least, closed_neighbourhood, flip, pack, ranker, set_bits, unpack, vertex_of, words
 from .cube import Hypercube
 from .errors import InputDomainError, RefusalError
 from .percolation import (
     ComponentLabeling,
     PercolationSample,
     components,
-    flip,
     label_members,  # noqa: F401 -- perfbench/spans.py wraps it here
     label_packed,
     largest_two,
-    pack,
-    ranker,
-    set_bits,
     union_samples,
-    unpack,
-    vertex_of,
-    words,
 )
 
 # === T/M/S classification ===
@@ -59,7 +50,7 @@ from .percolation import (
 @dataclass(frozen=True)
 class TmsPartition:
     """Disjoint cover of V(Q^d) by T, M, S, with T and M as packed words
-    (see percolation.words); the bool masks are built on each read.
+    (see bitset); the bool masks are built on each read.
 
     l1_members caches the first-round giant (the seed block of T);
     ambiguous_giant flags trials whose second component exceeds half the
@@ -100,30 +91,6 @@ class TmsPartition:
         return {"T": t, "M": m, "S": (1 << self.d) - t - m}
 
 
-def _at_least(d: int, t: np.ndarray, k: int, among: np.ndarray) -> np.ndarray:
-    """The vertices of `among` with at least k neighbours in the set t,
-    for 0 < k <= d, as words, from the bit-sliced count of the module
-    docstring. After i + 1 flips a count is at most i + 1, so each
-    addition carries only through the planes that can hold it."""
-    planes = [np.zeros_like(t) for _ in range(d.bit_length())]
-    carry = np.empty_like(t)
-    for i in range(d):
-        add = flip(t, i)
-        for plane in planes[: (i + 1).bit_length()]:
-            np.bitwise_and(plane, add, out=carry)
-            plane ^= add
-            add, carry = carry, add
-    above = np.zeros_like(t)
-    equal = among.copy()
-    for b in reversed(range(len(planes))):
-        if k >> b & 1:
-            equal &= planes[b]
-        else:
-            above |= equal & planes[b]
-            equal &= ~planes[b]
-    return above | equal
-
-
 def classify_tms(cube: Hypercube, labeling_r1: ComponentLabeling, epsilon: float) -> TmsPartition:
     """Partition V(Q^d) around the largest first-round component.
 
@@ -141,13 +108,8 @@ def classify_tms(cube: Hypercube, labeling_r1: ComponentLabeling, epsilon: float
     l1 = labeling_r1.vertices[labeling_r1.labels == giant_id]
     first, second = largest_two(labeling_r1)
 
-    l1_words = pack(l1, d)
-    t = l1_words.copy()
-    for i in range(d):
-        t |= flip(l1_words, i)
-    outside = ~t
-    if d < 6:  # clear the padding bits past n
-        outside &= np.uint64((1 << (1 << d)) - 1)
+    t = closed_neighbourhood(d, pack(l1, d))
+    outside = words((~t).view(np.uint8), d)  # words clears the padding past n
     threshold = epsilon**2 * d / 200.0
     k = math.ceil(threshold)
     if k <= 0:
@@ -155,7 +117,7 @@ def classify_tms(cube: Hypercube, labeling_r1: ComponentLabeling, epsilon: float
     elif k > d:
         m = np.zeros_like(t)
     else:
-        m = _at_least(d, t, k, outside)
+        m = at_least(d, t, k, outside)
     return TmsPartition(
         d=d,
         epsilon=epsilon,

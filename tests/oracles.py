@@ -1,12 +1,43 @@
 """Independent reference implementations used to cross-check the
 package. Everything here favors obviousness over speed: dense
 adjacency matrices, exhaustive enumeration, exact rational arithmetic.
-Nothing imports from cubeperc internals beyond constructors.
+Nothing imports from cubeperc internals beyond constructors and the
+error type.
 """
 
 import itertools
 from collections import deque
 from fractions import Fraction
+
+from cubeperc.errors import InputDomainError
+
+
+class Cycle:
+    """Explicit cycle on m vertices: a 2-regular graph for the code that
+    takes any oracle with n and neighbors (dfs_explore, tree_count_exact),
+    and a non-hypercube that Q^d-only labeling must refuse."""
+
+    def __init__(self, m: int):
+        if m < 3:
+            raise InputDomainError(f"cycle needs >= 3 vertices, got {m}")
+        self.n = int(m)
+        self.d = 2
+
+    @property
+    def degree(self) -> int:
+        return 2
+
+    def check_vertex(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise InputDomainError(f"label {v} out of range for cycle of {self.n}")
+        return v
+
+    def neighbors(self, v: int) -> list[int]:
+        self.check_vertex(v)
+        return sorted(((v - 1) % self.n, (v + 1) % self.n))
+
+    def __repr__(self):
+        return f"Cycle(n={self.n})"
 
 
 def bit_count(x: int) -> int:

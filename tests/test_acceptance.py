@@ -21,7 +21,7 @@ from cubeperc.checkers import (
     tree_count_bound,
     tree_count_exact,
 )
-from cubeperc.cube import Cycle, Hypercube, common_neighbors, hamming_distance, separate_into_subcubes, sphere2, xor_shift
+from cubeperc.cube import Hypercube, common_neighbors, hamming_distance, separate_into_subcubes, sphere2, xor_shift
 from cubeperc.harness import (
     TrialConfig,
     giant_statistics,
@@ -159,7 +159,7 @@ def test_criterion_05_tree_count_bound():
     anchor_oracle = oracles.tree_subgraph_count(lambda v: q3.neighbors(v), 8, 3)
     if anchor != 24 or anchor_oracle != 24:
         failures.append(f"anchor t3={anchor} oracle={anchor_oracle}")
-    for oracle in (q3, Hypercube(4), Cycle(8)):
+    for oracle in (q3, Hypercube(4), oracles.Cycle(8)):
         for k in range(1, 7):
             exact = tree_count_exact(oracle, k)
             bound = tree_count_bound(oracle.n, oracle.degree, k)

@@ -20,7 +20,7 @@ from cubeperc.checkers import (
     tree_count_bound,
     tree_count_exact,
 )
-from cubeperc.cube import Cycle, Hypercube, sphere2
+from cubeperc.cube import Hypercube, sphere2
 from cubeperc.errors import InputDomainError, RefusalError
 from cubeperc.percolation import PercolationSample, components, label_members, sample_sites
 import numpy as np
@@ -30,24 +30,24 @@ import numpy as np
 
 
 def test_expansion_flags_whole_cycle():
-    c = Cycle(8)
-    lab = label_members(c, np.arange(8, dtype=np.int64))
-    # the full cycle has no external neighborhood at all
-    reports = check_expansion(c, lab, epsilon=0.2, size_threshold=4)
+    q = Hypercube(3)
+    lab = label_members(q, np.arange(8, dtype=np.int64))
+    # all of Q^3 has no external neighborhood at all
+    reports = check_expansion(q, lab, epsilon=0.2, size_threshold=4)
     assert len(reports) == 1
     r = reports[0]
     assert r.checker == "expansion"
     assert r.measured == 0.0
-    assert r.threshold == pytest.approx(0.9 * 8 * 2)
+    assert r.threshold == pytest.approx(0.9 * 8 * 3)
     assert r.witness["size"] == 8
     assert r.witness["epsilon"] == 0.2
 
 
 def test_expansion_default_threshold_skips_small_components():
-    c = Cycle(8)
-    lab = label_members(c, np.arange(8, dtype=np.int64))
+    q = Hypercube(3)
+    lab = label_members(q, np.arange(8, dtype=np.int64))
     # 300 ln 8 is far above 8, so nothing is checked
-    assert check_expansion(c, lab, epsilon=0.2) == []
+    assert check_expansion(q, lab, epsilon=0.2) == []
     summary = expansion_summary(lab, expansion_size_threshold(8), [])
     assert summary == {
         "checked": 0,
@@ -298,7 +298,7 @@ def test_tree_counts_q3_against_enumeration():
 
 
 def test_tree_counts_cycle():
-    c = Cycle(6)
+    c = oracles.Cycle(6)
     # every connected k-set of a cycle is an arc; arcs induce paths
     for k in range(1, 6):
         assert tree_count_exact(c, k) == 6
@@ -318,7 +318,7 @@ def test_tree_bound_dominates_exact():
     q = Hypercube(3)
     for k in range(1, 7):
         assert tree_count_exact(q, k) <= tree_count_bound(8, 3, k)
-    c = Cycle(8)
+    c = oracles.Cycle(8)
     for k in range(1, 7):
         assert tree_count_exact(c, k) <= tree_count_bound(8, 2, k)
 

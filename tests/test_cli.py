@@ -230,3 +230,23 @@ def test_report_counts_failures(tmp_path, capsys):
                  '"mode":"single-round","error":"x"}\n')
     assert run(["report", str(f)]) == EXIT_OK
     assert "failed trial(s)" in capsys.readouterr().err
+
+
+# --- file errors ---
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "{tmp}/missing.jsonl"],
+        ["report", "{tmp}"],
+        ["sweep", "--d", "5", "--epsilon", "0.3", "--jobs", "1", "--out", "{tmp}/nodir/x.jsonl"],
+        ["trial", "--d", "5", "--epsilon", "0.3", "--out", "{tmp}/nodir/x.jsonl"],
+    ],
+    ids=["report-missing", "report-directory", "sweep-no-dir", "trial-no-dir"],
+)
+def test_file_errors_are_usage_errors(tmp_path, capsys, argv):
+    assert run([a.format(tmp=tmp_path) for a in argv]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: ") for line in err.splitlines())
+    assert list(tmp_path.iterdir()) == []

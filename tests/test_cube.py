@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import oracles
 from cubeperc.cube import (
-    Cycle,
     Hypercube,
     Subcube,
     build_pivot_subcubes,
@@ -56,12 +55,12 @@ def test_hypercube_rejects_bad_labels():
 
 
 def test_cycle_adjacency_wraps():
-    c = Cycle(5)
+    c = oracles.Cycle(5)
     assert c.neighbors(0) == [1, 4]
     assert c.neighbors(4) == [0, 3]
     assert c.degree == 2
     with pytest.raises(InputDomainError):
-        Cycle(2)
+        oracles.Cycle(2)
 
 
 def test_q2_is_a_4_cycle():

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from cubeperc import percolation, rng
-from cubeperc.cube import Cycle, Hypercube, external_neighborhood
+from cubeperc.checkers import check_expansion
+from cubeperc.cube import Hypercube, external_neighborhood
 from cubeperc.errors import InputDomainError, RefusalError
 from cubeperc.percolation import (
     ComponentLabeling,
@@ -186,7 +187,7 @@ def test_label_members_matches_searchsorted_reference(d):
 
 
 @pytest.mark.parametrize("bad", [-1, 64])
-@pytest.mark.parametrize("oracle", [Hypercube(6), Cycle(64)], ids=["cube", "cycle"])
+@pytest.mark.parametrize("oracle", [Hypercube(6)], ids=["cube"])
 def test_label_members_rejects_members_out_of_range(oracle, bad):
     # a negative member must not wrap around to vertex n - 1
     with pytest.raises(InputDomainError):
@@ -241,23 +242,15 @@ def test_components_rejects_size_mismatch():
         components(Hypercube(4), sample_sites(5, 0.5, 1))
 
 
-def test_generic_oracle_path_on_cycle():
-    c = Cycle(10)
-    # retain 0,1,2 and 5,6: two arcs
-    members = np.array([0, 1, 2, 5, 6], dtype=np.int64)
-    lab = label_members(c, members)
-    assert lab.n_components == 2
-    assert lab.size_multiset() == (2, 3)
-    assert lab.label_of(0) == lab.label_of(2)
-    assert lab.label_of(5) == lab.label_of(6)
-    assert lab.label_of(0) != lab.label_of(5)
-
-
-def test_cycle_wraparound_component():
-    c = Cycle(8)
-    members = np.array([0, 6, 7], dtype=np.int64)
-    lab = label_members(c, members)
-    assert lab.n_components == 1
+def test_labeling_refuses_non_hypercube_oracles():
+    c = oracles.Cycle(8)
+    with pytest.raises(InputDomainError, match="Q\\^d only"):
+        components(c, PercolationSample.from_labels(3, [0, 1, 2]))
+    with pytest.raises(InputDomainError, match="Q\\^d only"):
+        label_members(c, [1, 1, 2])
+    lab = label_members(Hypercube(3), np.arange(8))
+    with pytest.raises(InputDomainError, match="Q\\^d only"):
+        check_expansion(c, lab, epsilon=0.2, size_threshold=1)
 
 
 def test_label_of_missing_vertex_is_none():
@@ -315,8 +308,12 @@ def test_members_equal_label_scan_on_random_labelings():
         lab = canonical_labeling(vertices, raw)
         for cid in range(lab.n_components):
             assert np.array_equal(lab.members(cid), lab.vertices[lab.labels == cid])
+            assert lab.size_of(cid) == len(lab.members(cid))
         assert len(lab.members(lab.n_components)) == 0
         assert len(lab.members(-1)) == 0
+        # an id outside [0, n_components) has no members, so size 0
+        assert lab.size_of(lab.n_components) == 0
+        assert lab.size_of(-1) == 0
 
 
 def test_canonical_labeling_empty():
@@ -368,7 +365,7 @@ def test_dfs_trace_epoch_invariants():
 
 
 def test_dfs_on_cycle():
-    c = Cycle(12)
+    c = oracles.Cycle(12)
     lazy, trace = dfs_explore(c, 0.5, 3)
     # verify against per-vertex recomputation of the same coins
     from cubeperc import rng
