@@ -33,9 +33,11 @@ VERSION = "0.1.0"
 SCHEMA_VERSION = 1
 
 _HARD_CAP_D = 26
-# Working-set model per mode, in bytes per vertex of Q^d: the growth of
-# ru_maxrss over one trial with every checker on measured 24-25 B/vertex
-# single-round and 40-52 two-round at d = 18-22, plus headroom.
+# Working-set model per mode, in bytes per vertex of Q^d, with headroom.
+# The growth of ru_maxrss over one trial in a fresh process (eps = 0.5,
+# seed 7) measured, at d = 22 and d = 26: single-round 3.9 and 3.2 with
+# no checks, 11.2 and 9.2 with every checker; two-round 7.9 and 8.7 with
+# no checks, 13.0 and 10.8 with every checker.
 _BYTES_PER_VERTEX = {"single-round": 32, "two-round": 64}
 _EPSILON_INTENT_CAP = 0.3  # larger eps accepted but flagged
 _UNIQUENESS_FACTOR = 10  # "unique giant" convention: giant > 10 * second
@@ -244,6 +246,7 @@ def run_trial(config: TrialConfig) -> ExperimentRecord:
         r2 = sample_sites(config.d, p2, rng.derive_seed(config.seed, 2))
         labeling_r1 = components(cube, r1)
         partition = sprinkling.classify_tms(cube, labeling_r1, config.epsilon)
+        del labeling_r1
         analysis = sprinkling.merge_analysis(cube, partition, r1, r2)
         labeling = analysis.final_labeling
         sample = union_samples(r1, r2)
@@ -499,22 +502,26 @@ def read_records(path):
     records = []
     failures = []
     skipped = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = parse_record(line)
-            except (ValueError, json.JSONDecodeError):
-                skipped += 1
-                continue
-            if "error" in data:
-                failures.append(data)
-            elif "giant" in data and "d" in data:
-                records.append(data)
-            else:
-                skipped += 1
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    data = parse_record(line)
+                except (ValueError, json.JSONDecodeError):
+                    skipped += 1
+                    continue
+                if "error" in data:
+                    failures.append(data)
+                elif "giant" in data and "d" in data:
+                    records.append(data)
+                else:
+                    skipped += 1
+    except UnicodeDecodeError as exc:
+        # a decode error is not an OSError, and would escape the CLI's usage-error path
+        raise InputDomainError(f"{path} is not UTF-8 text: {exc.reason}") from None
     return records, failures, skipped
 
 

@@ -57,12 +57,6 @@ class PercolationSample:
     def contains(self, v: int) -> bool:
         return bool((self.bits[v >> 3] >> (v & 7)) & 1)
 
-    def contains_many(self, labels: np.ndarray) -> np.ndarray:
-        """Vectorized membership lookup; returns a bool array."""
-        labels = np.asarray(labels)
-        byte = self.bits[labels >> 3]
-        return ((byte >> (labels & 7).astype(np.uint8)) & 1).astype(bool)
-
     def retained_count(self) -> int:
         return int(np.bitwise_count(self.bits).sum(dtype=np.int64))
 

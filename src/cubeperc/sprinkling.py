@@ -22,7 +22,10 @@ T-neighbours; no per-vertex byte array is built. The merge scan works
 on the same words: the candidates are labeled straight
 from (R1 | R2) & ~T, and the members of S u M whose neighbour along
 coordinate i is in T are the set bits of that set AND flip(T, i), each
-indexed into the stage labels by its rank.
+indexed into the stage labels by its rank. The scan takes one
+coordinate at a time, so only that coordinate's bits are unpacked. A
+candidate merges iff one of its members lies in the closed
+neighbourhood of T & R2, read from words too.
 """
 
 import math
@@ -238,64 +241,73 @@ def merge_analysis(
     round two retains one of its T-neighbors, and otherwise stays a
     component of its own: the outcome of revealing T after S u M does
     not depend on the reveal order, and the final labeling is the
-    labeling of R1 u R2. The merge flags come from the T-neighbor scan
-    and are re-verified against that independent labeling.
+    labeling of R1 u R2. The merge flags come from the members of S u M
+    next to a round-two T vertex, and are re-verified against that
+    independent labeling.
     """
     d = cube.d
     if partition.d != d:
         raise InputDomainError("partition does not match the cube")
     if r1.d != d or r2.d != d:
         raise InputDomainError("sample dimension does not match the cube")
-    n = cube.n
     t, m = partition.t_words, partition.m_words
-    w1 = words(r1.bits, d)
+    w1, w2 = words(r1.bits, d), words(r2.bits, d)
     # the staging relies on T's first-round content being exactly L1',
     # which holds iff the partition came from this sample's labeling
     if not np.array_equal(t & w1, pack(partition.l1_members, d)):
         raise InputDomainError("partition was not built from this first-round sample")
-    sm = (w1 | words(r2.bits, d)) & ~t
+    sm = (w1 | w2) & ~t
     stage = label_packed(d, sm)
     k = stage.n_components
     rank, _ = ranker(sm)
-    m_sizes = np.bincount(stage.labels[rank(*set_bits(sm & m))], minlength=k)
+
+    def label(w):
+        """The stage label of every member of sm in the words w."""
+        return stage.labels[rank(*set_bits(w))]
+
+    m_sizes = np.bincount(label(sm & m), minlength=k)
+    # sm is disjoint from T, so its members next to a round-two T vertex
+    # are exactly those of sm & closed_neighbourhood(T & R2)
+    merged = np.zeros(k, dtype=bool)
+    merged[label(sm & closed_neighbourhood(d, t & w2))] = True
 
     # distinct (B, T-neighbor) pairs from one sort of (B, t, "not via M")
     # keys: within a (B, t) run a pair reached from B cap M sorts first.
-    # Row i of `near` holds the members of S u M whose neighbour along
-    # coordinate i is in T.
-    near = np.empty((d, len(sm)), dtype=np.uint64)
+    # Coordinate i contributes the members of S u M whose neighbour along
+    # i is in T, so only one coordinate's bits are unpacked at a time.
+    keys = []
     for i in range(d):
-        np.bitwise_and(sm, flip(t, i), out=near[i])
-    f, bit = set_bits(near.ravel())
-    # len(sm) is a power of two, so row and word come from shifts
-    i, j = f >> (len(sm).bit_length() - 1), f & (len(sm) - 1)
-    del near, f
-    nb = vertex_of(j, bit) ^ (1 << i)
-    key = (((stage.labels[rank(j, bit)] << d) | nb) << 1) | ((m[j] & bit) == 0)
-    del i, j, bit, nb
+        j, bit = set_bits(sm & flip(t, i))
+        nb = vertex_of(j, bit) ^ (1 << i)
+        keys.append((((stage.labels[rank(j, bit)] << d) | nb) << 1) | ((m[j] & bit) == 0))
+    key = np.concatenate(keys)
+    del keys
     key.sort()
     pair = key >> 1
     first = np.ones(len(key), dtype=bool)
     np.not_equal(pair[1:], pair[:-1], out=first[1:])
-    pair = pair[first]
-    comp = pair >> d
-    nt_sizes = np.bincount(comp, minlength=k)
-    nt_m_sizes = np.bincount(comp[(key[first] & 1) == 0], minlength=k)
-    merged = np.zeros(k, dtype=bool)
-    merged[comp[r2.contains_many(pair & (n - 1))]] = True
-
-    final = components(cube, union_samples(r1, r2))
+    del pair
+    key = key[first]
+    del first
+    via_m = (key & 1) == 0
+    key >>= d + 1  # now the candidate id of each distinct pair
+    nt_sizes = np.bincount(key, minlength=k)
+    nt_m_sizes = np.bincount(key[via_m], minlength=k)
+    del key, via_m
     # canonical ids number components by first occurrence, so the running
     # maximum of the labels steps up exactly at each component's minimum
     starts = np.flatnonzero(np.diff(np.maximum.accumulate(stage.labels), prepend=-1))
-    min_vertices = stage.vertices[starts]
+    min_vertices, sizes = stage.vertices[starts], stage.sizes
+    del stage  # free the stage labeling before the final one is built
+
+    final = components(cube, union_samples(r1, r2))
     f_labels = final.labels[np.searchsorted(final.vertices, min_vertices)]
     f_sizes = final.sizes[f_labels]
     l1 = partition.l1_members
     giant = final.label_of(int(l1[0])) if len(l1) else -1
-    consistent = np.where(merged, f_labels == giant, f_sizes == stage.sizes)
+    consistent = np.where(merged, f_labels == giant, f_sizes == sizes)
     return MergeAnalysis(
-        min_vertices, stage.sizes, m_sizes, nt_sizes, nt_m_sizes, merged, f_sizes, consistent,
+        min_vertices, sizes, m_sizes, nt_sizes, nt_m_sizes, merged, f_sizes, consistent,
         final_labeling=final,
         giant_final_label=giant,
         giant_final_size=final.size_of(giant) if giant >= 0 else 0,

@@ -242,11 +242,15 @@ def test_report_counts_failures(tmp_path, capsys):
         ["report", "{tmp}"],
         ["sweep", "--d", "5", "--epsilon", "0.3", "--jobs", "1", "--out", "{tmp}/nodir/x.jsonl"],
         ["trial", "--d", "5", "--epsilon", "0.3", "--out", "{tmp}/nodir/x.jsonl"],
+        ["report", "{not_utf8}"],
     ],
-    ids=["report-missing", "report-directory", "sweep-no-dir", "trial-no-dir"],
+    ids=["report-missing", "report-directory", "sweep-no-dir", "trial-no-dir", "report-not-utf8"],
 )
-def test_file_errors_are_usage_errors(tmp_path, capsys, argv):
-    assert run([a.format(tmp=tmp_path) for a in argv]) == EXIT_USAGE
+def test_file_errors_are_usage_errors(tmp_path, tmp_path_factory, capsys, argv):
+    # the input file sits outside tmp_path, which must stay empty
+    not_utf8 = tmp_path_factory.mktemp("inputs") / "not_utf8.jsonl"
+    not_utf8.write_bytes(b"\xff\xfe{}\n")
+    assert run([a.format(tmp=tmp_path, not_utf8=not_utf8) for a in argv]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert any(line.startswith("error: ") for line in err.splitlines())
     assert list(tmp_path.iterdir()) == []

@@ -72,8 +72,6 @@ def test_membership_views_agree():
     assert s.retained_count() == int(mask.sum()) == len(labels)
     for v in range(s.n):
         assert s.contains(v) == bool(mask[v])
-    many = s.contains_many(np.arange(s.n))
-    assert np.array_equal(many, mask)
     assert np.array_equal(np.flatnonzero(mask), labels)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,26 @@ def test_merge_reports_match_bruteforce():
                         seen["nt_m_below_nt"] += r.nt_m_size < r.nt_size
     # the grid exercises every field with more than one value
     assert all(seen.values()), seen
+
+
+def test_merge_analysis_peak_memory():
+    # the T-neighbour scan unpacks one coordinate's bits at a time and the
+    # pair arrays are freed before the final labeling; a scan holding all
+    # d coordinates' bits at once peaks at about 21 B/vertex on this trial
+    d, eps = 18, 0.9
+    q = Hypercube(d)
+    plan = two_round_plan(eps, d)
+    r1 = sample_sites(d, plan.p1, derive_seed(7, 1))
+    r2 = sample_sites(d, plan.p2, derive_seed(7, 2))
+    part = _partition_for(q, r1, eps)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        merge_analysis(q, part, r1, r2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / q.n <= 12
 
 
 def test_merge_rejects_foreign_partition():
