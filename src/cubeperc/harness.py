@@ -8,6 +8,7 @@ record file diff is meaningful.
 """
 
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -35,9 +36,9 @@ SCHEMA_VERSION = 1
 _HARD_CAP_D = 26
 # Working-set model per mode, in bytes per vertex of Q^d, with headroom.
 # The growth of ru_maxrss over one trial in a fresh process (eps = 0.5,
-# seed 7) measured, at d = 22 and d = 26: single-round 3.9 and 3.2 with
-# no checks, 11.2 and 9.2 with every checker; two-round 7.9 and 8.7 with
-# no checks, 13.0 and 10.8 with every checker.
+# seed 7) measured, at d = 22 and d = 26: single-round 2.8 and 2.5 with
+# no checks, 11.1 and 9.1 with every checker; two-round 6.0 and 5.8 with
+# no checks, 12.9 and 10.6 with every checker.
 _BYTES_PER_VERTEX = {"single-round": 32, "two-round": 64}
 _EPSILON_INTENT_CAP = 0.3  # larger eps accepted but flagged
 _UNIQUENESS_FACTOR = 10  # "unique giant" convention: giant > 10 * second
@@ -55,8 +56,8 @@ def memory_budget_gb() -> float:
         value = float(raw)
     except ValueError:
         raise InputDomainError(f"CUBEPERC_MEM_GB={raw!r} is not a number")
-    if value <= 0:
-        raise InputDomainError(f"CUBEPERC_MEM_GB must be positive, got {value}")
+    if not (math.isfinite(value) and value > 0):
+        raise InputDomainError(f"CUBEPERC_MEM_GB must be positive and finite, got {value}")
     return value
 
 
@@ -73,8 +74,8 @@ def check_memory_budget(d: int, mode: str = "single-round") -> None:
     budget = memory_budget_gb() * 2**30
     if need > budget:
         raise RefusalError(
-            f"d={d} {mode} needs ~{need / 2**30:.1f} GiB working set, "
-            f"budget is {memory_budget_gb():.1f} GiB (CUBEPERC_MEM_GB)"
+            f"d={d} {mode} needs ~{need / 2**30:.3g} GiB working set, "
+            f"budget is {budget / 2**30:.3g} GiB (CUBEPERC_MEM_GB)"
         )
 
 

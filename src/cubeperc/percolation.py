@@ -10,10 +10,11 @@ has two interchangeable backends behind one canonical output:
 * sparse path (the common supercritical case): works on the packed
   sample as uint64 words (see bitset). The edges along coordinate i are
   the set bits of w & (w >> 2^i) within a word for i < 6, and of the
-  AND of word pairs 2^(i-6) apart for i >= 6. A retained vertex's index
+  AND of word pairs 2^(i-6) apart for i >= 6. An edge endpoint's index
   among the members is its rank: the popcount of all earlier words plus
   that of its own word below it. The int32 rank pairs go to scipy's
-  compressed sparse connected_components;
+  compressed sparse connected_components, and once it has run the
+  sorted members are read off the unpacked words;
 * dense path (retained fraction above 1/4, where an edge list would
   break the O(n)-words budget): vectorized minimum-label propagation
   with pointer jumping over a single length-n label array.
@@ -26,11 +27,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _sp_connected
 
 from . import rng
-from .bitset import _LOW, pack, ranker, set_bits, unpack, vertex_of, words
+from .bitset import _LOW, pack, ranker, set_bits, unpack, words
 from .cube import Hypercube
 from .errors import InputDomainError, RefusalError
 
@@ -245,18 +246,18 @@ def canonical_labeling(vertices, raw_labels) -> ComponentLabeling:
     constant exactly on components. Ids come out 0..K-1 by order of first
     occurrence, which is increasing minimum member, matching components().
     scipy numbers components from their lowest node, so its ids are
-    usually in that order already; an O(m) check (start at 0, running
-    maximum steps by at most 1) lets them through without the sort.
+    usually in that order already; an O(m) check on the raw labels
+    (start at 0, running maximum steps by at most 1) lets them through
+    without the sort. The int64 labels are always a fresh array.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
-    raw = np.array(raw_labels, dtype=np.int64)
+    raw = np.asarray(raw_labels)
     if len(vertices) != len(raw):
         raise InputDomainError("vertices and raw_labels must align")
     if len(vertices) == 0:
-        return ComponentLabeling(vertices, raw, np.empty(0, np.int64))
-    top = np.maximum.accumulate(raw)
-    if raw[0] == 0 and raw.min() >= 0 and np.diff(top).max(initial=0) <= 1:
-        labels = raw
+        return ComponentLabeling(vertices, np.empty(0, np.int64), np.empty(0, np.int64))
+    if raw[0] == 0 and raw.min() >= 0 and np.diff(np.maximum.accumulate(raw)).max(initial=0) <= 1:
+        labels = raw.astype(np.int64)
     else:
         uniq, first = np.unique(raw, return_index=True)
         remap = np.empty(len(uniq), dtype=np.int64)
@@ -275,9 +276,6 @@ def label_packed(d: int, w: np.ndarray) -> ComponentLabeling:
     # dense stays O(n) words: d=20 peaks 15/47/75 vs sparse 51/236/701 B/vertex at p=.3/.6/1
     if m > n // 4:
         return _label_dense(d, unpack(w, d))
-    j, bit = set_bits(w)
-    vertices = np.empty(m, dtype=np.int64)
-    vertices[rank(j, bit)] = vertex_of(j, bit)
     lower, upper = [], []
     for i in range(d):
         if i < 6:
@@ -293,11 +291,15 @@ def label_packed(d: int, w: np.ndarray) -> ComponentLabeling:
             lower.append(rank(j, bit))
             upper.append(rank(j + half, bit))
     rows = np.concatenate(lower)
+    del lower
     cols = np.concatenate(upper)
-    del lower, upper
-    graph = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(m, m))
+    del upper
+    # float64 is the dtype csgraph converts any input to
+    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(m, m))
+    del rows, cols
     _, raw = _sp_connected(graph, directed=False)
-    return canonical_labeling(vertices, raw)
+    del graph
+    return canonical_labeling(np.flatnonzero(unpack(w, d)), raw)
 
 
 def _label_dense(d: int, member_mask: np.ndarray) -> ComponentLabeling:

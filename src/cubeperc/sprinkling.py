@@ -23,7 +23,8 @@ on the same words: the candidates are labeled straight
 from (R1 | R2) & ~T, and the members of S u M whose neighbour along
 coordinate i is in T are the set bits of that set AND flip(T, i), each
 indexed into the stage labels by its rank. The scan takes one
-coordinate at a time, so only that coordinate's bits are unpacked. A
+coordinate at a time, so only that coordinate's bits are unpacked, and
+writes its keys into one array sized from the popcounts beforehand. A
 candidate merges iff one of its members lies in the closed
 neighbourhood of T & R2, read from words too.
 """
@@ -271,29 +272,47 @@ def merge_analysis(
     merged = np.zeros(k, dtype=bool)
     merged[label(sm & closed_neighbourhood(d, t & w2))] = True
 
-    # distinct (B, T-neighbor) pairs from one sort of (B, t, "not via M")
-    # keys: within a (B, t) run a pair reached from B cap M sorts first.
-    # Coordinate i contributes the members of S u M whose neighbour along
-    # i is in T, so only one coordinate's bits are unpacked at a time.
-    keys = []
-    for i in range(d):
+    # distinct (B, T-neighbor) pairs from one in-place sort of (B, t,
+    # "not via M") keys: within a (B, t) run a pair reached from B cap M
+    # sorts first. Coordinate i contributes the members of S u M whose
+    # neighbour along i is in T; their popcounts size one key array that
+    # each coordinate then fills in turn, unpacking only its own bits.
+    counts = [int(np.bitwise_count(sm & flip(t, i)).sum(dtype=np.int64)) for i in range(d)]
+    key = np.empty(sum(counts), dtype=np.int64)
+    end = 0
+    for i, count in enumerate(counts):
         j, bit = set_bits(sm & flip(t, i))
-        nb = vertex_of(j, bit) ^ (1 << i)
-        keys.append((((stage.labels[rank(j, bit)] << d) | nb) << 1) | ((m[j] & bit) == 0))
-    key = np.concatenate(keys)
-    del keys
+        out = key[end : end + count]
+        end += count
+        np.left_shift(stage.labels[rank(j, bit)], d + 1, out=out)
+        out |= (vertex_of(j, bit) ^ (1 << i)) << 1
+        out |= (m[j] & bit) == 0
+    del j, bit, out
     key.sort()
-    pair = key >> 1
+    # the flags are read through a bool out= so that no int64 copy is made
+    via_m = np.empty(len(key), dtype=bool)
+    np.logical_not(np.bitwise_and(key, 1, out=via_m, casting="unsafe"), out=via_m)
+    key >>= 1  # now the (B, t) pair of each key
     first = np.ones(len(key), dtype=bool)
-    np.not_equal(pair[1:], pair[:-1], out=first[1:])
-    del pair
-    key = key[first]
-    del first
-    via_m = (key & 1) == 0
-    key >>= d + 1  # now the candidate id of each distinct pair
-    nt_sizes = np.bincount(key, minlength=k)
-    nt_m_sizes = np.bincount(key[via_m], minlength=k)
-    del key, via_m
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    via_m &= first
+    key >>= d  # now the candidate id of each key
+    # each candidate's keys form one run: sum the flags over each run,
+    # read through the key array, which is no longer needed
+    nt_sizes = np.zeros(k, dtype=np.int64)
+    nt_m_sizes = np.zeros(k, dtype=np.int64)
+    if len(key):
+        run_start = np.empty(len(key), dtype=bool)
+        run_start[0] = True
+        np.not_equal(key[1:], key[:-1], out=run_start[1:])
+        runs = np.flatnonzero(run_start)
+        del run_start
+        ids = key[runs]
+        for flags, sizes in ((first, nt_sizes), (via_m, nt_m_sizes)):
+            key[:] = flags
+            sizes[ids] = np.add.reduceat(key, runs)
+        del runs, ids
+    del key, first, via_m
     # canonical ids number components by first occurrence, so the running
     # maximum of the labels steps up exactly at each component's minimum
     starts = np.flatnonzero(np.diff(np.maximum.accumulate(stage.labels), prepend=-1))

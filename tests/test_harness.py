@@ -78,14 +78,15 @@ def test_memory_env_budget(monkeypatch):
     assert memory_budget_gb() == 8.0
     check_memory_budget(20)
     monkeypatch.setenv("CUBEPERC_MEM_GB", "0.001")
-    with pytest.raises(RefusalError):
+    with pytest.raises(RefusalError, match="budget is 0.001 GiB"):
         check_memory_budget(20)
-    monkeypatch.setenv("CUBEPERC_MEM_GB", "potato")
-    with pytest.raises(InputDomainError):
-        memory_budget_gb()
-    monkeypatch.setenv("CUBEPERC_MEM_GB", "-3")
-    with pytest.raises(InputDomainError):
-        memory_budget_gb()
+    for bad in ("potato", "-3", "nan", "inf"):
+        monkeypatch.setenv("CUBEPERC_MEM_GB", bad)
+        with pytest.raises(InputDomainError):
+            memory_budget_gb()
+        # a budget that is not a finite positive number refuses every run
+        with pytest.raises(InputDomainError):
+            check_memory_budget(26, "two-round")
 
 
 def test_memory_budget_charges_per_mode(monkeypatch):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -235,6 +236,23 @@ def test_empty_sample_has_no_components():
     assert largest_two(lab) == (0, 0)
 
 
+def test_components_peak_memory():
+    # members come from the unpacked words after scipy has run, and the
+    # edge arrays go as soon as the graph holds them; taking members from
+    # set_bits before labeling, with a COO graph, peaks at about 6 B/vertex
+    d, eps = 18, 0.8
+    q = Hypercube(d)
+    s = sample_sites(d, (1 + eps) / d, 7)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        components(q, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / q.n <= 4.5
+
+
 def test_components_rejects_size_mismatch():
     with pytest.raises(InputDomainError):
         components(Hypercube(4), sample_sites(5, 0.5, 1))
@@ -296,6 +314,21 @@ def test_canonical_labeling_renumbers_arbitrary_ids():
         ([1, 1, 0, 1], [0, 0, 1, 0]),
     ):
         assert canonical_labeling(vertices, np.array(raw)).labels.tolist() == want
+
+
+def test_canonical_labeling_takes_int32_raw_labels():
+    # scipy hands back int32 labels: both the pass-through path and the
+    # renumbering path give fresh int64 labels equal to the int64 result
+    vertices = np.array([2, 3, 7, 9], dtype=np.int64)
+    for raw in ([0, 0, 1, 0], [40, 40, 17, 40]):
+        raw32 = np.array(raw, dtype=np.int32)
+        want = canonical_labeling(vertices, np.array(raw, dtype=np.int64))
+        lab = canonical_labeling(vertices, raw32)
+        assert lab.labels.dtype == np.int64
+        assert lab.labels.tolist() == want.labels.tolist()
+        assert lab.sizes.tolist() == want.sizes.tolist()
+        raw32[:] = 5
+        assert lab.labels.tolist() == want.labels.tolist()
 
 
 def test_members_equal_label_scan_on_random_labelings():

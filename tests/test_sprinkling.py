@@ -270,6 +270,27 @@ def test_merge_analysis_peak_memory():
     assert (peak - base) / q.n <= 12
 
 
+def test_merge_key_scan_peak_memory():
+    # the (B, t) keys fill one preallocated array, sorted and shifted in
+    # place, and each candidate's distinct pairs are summed over its run
+    # in that array; concatenating per-coordinate keys and taking
+    # key >> 1 peaks at about 8.7 B/vertex on this trial
+    d, eps = 18, 0.9
+    q = Hypercube(d)
+    plan = two_round_plan(eps, d)
+    r1 = sample_sites(d, plan.p1, derive_seed(7, 1))
+    r2 = sample_sites(d, plan.p2, derive_seed(7, 2))
+    part = _partition_for(q, r1, eps)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        merge_analysis(q, part, r1, r2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / q.n <= 7.5
+
+
 def test_merge_rejects_foreign_partition():
     d = 8
     q = Hypercube(d)
